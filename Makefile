@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: check vet lint build test race bench bench-smoke bench-fleet bench-dp chaos chaos-cluster
+.PHONY: check vet lint build test race bench bench-smoke bench-fleet bench-dp bench-verify chaos chaos-cluster
 
-check: vet lint build race bench-smoke bench-fleet bench-dp chaos chaos-cluster
+check: vet lint build race bench-smoke bench-fleet bench-dp bench-verify chaos chaos-cluster
 
 vet:
 	$(GO) vet ./...
@@ -57,6 +57,14 @@ bench-fleet:
 # and emit the BENCH_dp.json artifact with speedups and parity evidence.
 bench-dp:
 	$(GO) run ./cmd/evbench -out BENCH_dp.json dp
+
+# Serving benchmark self-tests: servebench is its own module (it pins the
+# repo through a replace directive), so ./... above never reaches it. Its
+# tests run the benchmark's input generator and plan verifier against the
+# live dp and cloud packages, so a change that would break the benchmark
+# fails here first.
+bench-verify:
+	cd servebench && $(GO) vet . && $(GO) test .
 
 # Robustness smoke: the fault-injected chaos tests (degradation ladder,
 # shedding + client retry, panic recovery, coalescing under cancellation)

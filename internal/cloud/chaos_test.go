@@ -701,3 +701,14 @@ func TestDegradeCoarseGridConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestSegmentTablesRejectCoarseTemplate: segment tables are exact-only, so
+// a server asking for them on a coarse-refined DPTemplate is a config
+// error rather than a silent fall back to monolithic solves.
+func TestSegmentTablesRejectCoarseTemplate(t *testing.T) {
+	tmpl := coarseDP()
+	tmpl.CoarseRefine = dp.CoarseRefine{Factor: 2}
+	if _, err := NewServer(ServerConfig{DPTemplate: tmpl, SegmentTables: true}); err == nil {
+		t.Fatal("SegmentTables with a CoarseRefine DPTemplate accepted")
+	}
+}

@@ -137,7 +137,8 @@ type Response struct {
 	DegradedReason string `json:"degradedReason,omitempty"`
 	// Refined is true when the plan came from the coarse-to-fine
 	// approximate-DP fast path (the coarse-grid ladder rung, or a
-	// DPTemplate with CoarseRefine configured) rather than the exact DP.
+	// DPTemplate with CoarseRefine configured on a server without
+	// SegmentTables) rather than the exact DP.
 	Refined bool `json:"refined,omitempty"`
 	// ServedBy names the cluster node that computed this response (empty
 	// on standalone servers). On a forwarded request it names the owner
@@ -386,6 +387,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		// Factor 1 would re-run the exact solve as its own "fallback" and
 		// negatives are meaningless; both hide a misconfiguration.
 		return nil, fmt.Errorf("cloud: coarse ladder factor %d must be 0 (off) or ≥ 2", cfg.CoarseLadderFactor)
+	}
+	if cfg.SegmentTables && cfg.DPTemplate.CoarseRefine.Factor != 0 {
+		return nil, fmt.Errorf("cloud: SegmentTables requires an exact DPTemplate — segment tables are exact; CoarseRefine applies to OptimizeCtx only")
 	}
 	if cfg.MaxInFlight == 0 {
 		cfg.MaxInFlight = 2 * runtime.GOMAXPROCS(0)
@@ -999,10 +1003,9 @@ func (s *Server) arrivalRate(req Request, degraded *bool) func(road.Control) flo
 // runVariant executes one optimizer variant under ctx, applying the
 // fault-injection seam and the predictor fallback. With coarse set it runs
 // the coarse-grid ladder rung: the template's CoarseRefine is overridden
-// with CoarseLadderFactor and the solve bypasses the segment-table path —
-// the shared tables are keyed to the exact grid, and building coarse
-// tables under a route's name would displace the exact ones for every
-// later request.
+// with CoarseLadderFactor and the solve bypasses the segment-table path,
+// because segment tables are exact-only (dp.BuildRouteTables rejects a
+// CoarseRefine config).
 func (s *Server) runVariant(ctx context.Context, route *road.Route, req Request, variant Variant, coarse bool) (*Response, error) {
 	if f := s.cfg.Faults.OptimizeDelay; f != nil {
 		if !sleepCtx(f(variant), ctx.Done()) {

@@ -98,6 +98,7 @@ type Config struct {
 	// coarsened by Factor, then re-solve the exact grid restricted to a
 	// corridor around the coarse winner. Results carry a Refined
 	// diagnostic; the error contract is documented in DESIGN.md §12.
+	// OptimizeCtx only: BuildRouteTables rejects it, as tables are exact.
 	CoarseRefine CoarseRefine
 
 	// Workers bounds the goroutines used for the per-stage relaxation.
@@ -349,32 +350,6 @@ func optimizeCore(ctx context.Context, cfg Config, corr *corridor) (*Result, []i
 
 	windows := shrunkWindows(&cfg, stages)
 
-	// Value arrays, flattened [j*(kMax+1)+k]. The time bucket k discretizes
-	// the state space; exact carries the true elapsed time of each bucket's
-	// best path so window checks and the assembled profile do not suffer
-	// accumulated rounding drift. Only two stages are ever alive at once —
-	// the stage being read and the stage being written — so cost and exact
-	// are double-buffered rather than allocated per stage; backpointers are
-	// needed for the final walk and live in one flat slab (stage i's
-	// incoming pointers at (i-1)*width). Cells the relaxation never writes
-	// keep stale exact values from two stages back; they are unreachable,
-	// because every read is guarded by the freshly inf-seeded cost.
-	kw := kMax + 1
-	width := (jMax + 1) * kw
-	slabs := grabSlabs(width, n*width, cfg.Workers, jMax+1, kw)
-	defer slabPool.Put(slabs)
-	curCost := slabs.vals[0*width : 1*width]
-	nxtCost := slabs.vals[1*width : 2*width]
-	curExact := slabs.vals[2*width : 3*width]
-	nxtExact := slabs.vals[3*width : 4*width]
-	backs := slabs.backs
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	fillF64(curCost, inf)
-	curCost[0] = 0  // v=0, elapsed=0 at the source
-	curExact[0] = 0 // the one exact cell read without a commit having written it
-
 	// Hoisted transition physics: the traversal time, charge ζ and power
 	// mask of a (j, j2) transition depend only on the speed pair and the
 	// stage grade — never on the time bucket — so they are computed once
@@ -382,45 +357,13 @@ func optimizeCore(ctx context.Context, cfg Config, corr *corridor) (*Result, []i
 	// (a factor-kMax redundancy in the innermost loop otherwise).
 	bands := newAccelBands(&cfg, ds, jMax)
 	trans := newTransitionCache(&cfg, ds, jMax, bands)
-	pool := slabs.pool
-	pool.seed(0, 0, kw)
-
-	expanded := 0
-	for i := 0; i < n; i++ {
-		// Stage boundary: the previous stage's workers are already joined
-		// (stageRelax.run waits on its WaitGroup), so returning here
-		// abandons only this call's private arrays.
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		cur, nxt := stages[i], stages[i+1]
-		ws, hasWin := windows[i+1]
-		// Only the destination band's columns are ever written or read back
-		// (the next stage's predecessor scan stays inside it), so the
-		// inf/-1 seeding is banded too — on recycled slabs the cells outside
-		// hold stale values that no read can reach.
-		bLo, bHi := nxt.minJ*kw, (nxt.maxJ+1)*kw
-		fillF64(nxtCost[bLo:bHi], inf)
-		fillI32(backs[i*width+bLo:i*width+bHi], -1)
-		sr := &stageRelax{
-			kMax: kMax, tw: jMax + 1,
-			curMinJ: cur.minJ, curMaxJ: cur.maxJ,
-			nxtMinJ: nxt.minJ, nxtMaxJ: nxt.maxJ,
-			bands:   bands,
-			tr:      trans.forGrade(cfg.Route.GradeAt(cur.posM + ds/2)),
-			dTauT:   trans.dTauT,
-			curCost: curCost, curExact: curExact,
-			nxtCost: nxtCost, nxtExact: nxtExact,
-			nxtBack: backs[i*width : (i+1)*width],
-			dwell:   cur.dwellSec, timeW: cfg.TimeWeightAhPerSec,
-			maxTrip: cfg.MaxTripSec, invDt: 1 / cfg.DtSec,
-			depart: cfg.DepartTime, penalty: cfg.PenaltyAh,
-			ws: ws, hasWin: hasWin,
-		}
-		expanded += sr.run(cfg.Workers, pool)
-		curCost, nxtCost = nxtCost, curCost
-		curExact, nxtExact = nxtExact, curExact
-		pool.advance()
+	kw := kMax + 1
+	width := (jMax + 1) * kw
+	slabs := grabSlabs(width, n*width, cfg.Workers, jMax+1, kw)
+	defer slabPool.Put(slabs)
+	curCost, _, expanded, err := sweep(ctx, &cfg, g, stages, windows, bands, trans, slabs, 0, n, 0)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// Destination: v = 0, best over arrival buckets (cur now holds stage n).
@@ -440,7 +383,7 @@ func optimizeCore(ctx context.Context, cfg Config, corr *corridor) (*Result, []i
 	ks := make([]int, n+1)
 	js[n], ks[n] = 0, bestK
 	for i := n; i > 0; i-- {
-		bp := backs[(i-1)*width+js[i]*kw+ks[i]]
+		bp := slabs.backs[(i-1)*width+js[i]*kw+ks[i]]
 		if bp < 0 {
 			return nil, nil, fmt.Errorf("dp: broken backpointer at stage %d", i)
 		}
@@ -452,6 +395,85 @@ func optimizeCore(ctx context.Context, cfg Config, corr *corridor) (*Result, []i
 		return nil, nil, err
 	}
 	return res, js, nil
+}
+
+// sweep relaxes stages a..b-1 on pooled slabs, starting from the one
+// seeded state at stage a: velocity index j0, elapsed 0. It is the single
+// stage loop of the package — the monolithic DP runs it over the whole
+// route (0, n, 0), the segment-table build over each segment once per entry
+// velocity. windows is keyed by absolute stage index; nil leaves every
+// arrival unconstrained. Stage a+i+1's incoming backpointers land at
+// slabs.backs[i*width:]; the returned cost and exact arrays hold stage b
+// and alias slabs.vals, so they are valid until the slabs are reused.
+//
+// Value arrays are flattened [j*(kMax+1)+k]. The time bucket k discretizes
+// the state space; exact carries the true elapsed time of each bucket's
+// best path so window checks and the assembled profile do not suffer
+// accumulated rounding drift. Only two stages are ever alive at once — the
+// stage being read and the stage being written — so cost and exact are
+// double-buffered rather than allocated per stage. Cells the relaxation
+// never writes keep stale exact values from two stages back; they are
+// unreachable, because every read is guarded by the freshly inf-seeded
+// cost.
+func sweep(ctx context.Context, cfg *Config, g dpGrid, stages []stageInfo, windows map[int][]queue.Window,
+	bands *accelBands, trans *transitionCache, slabs *solveSlabs, a, b, j0 int) (cost, exact []float64, expanded int, err error) {
+
+	kw := g.kMax + 1
+	width := (g.jMax + 1) * kw
+	curCost := slabs.vals[0*width : 1*width]
+	nxtCost := slabs.vals[1*width : 2*width]
+	curExact := slabs.vals[2*width : 3*width]
+	nxtExact := slabs.vals[3*width : 4*width]
+	backs := slabs.backs
+	fillF64(curCost, inf)
+	curCost[j0*kw] = 0  // velocity j0, elapsed 0 at the entry stage
+	curExact[j0*kw] = 0 // the one exact cell read without a commit having written it
+	pool := slabs.pool
+	pool.seed(j0, 0, kw)
+
+	for i := 0; i < b-a; i++ {
+		// Stage boundary: the previous stage's workers are already joined
+		// (stageRelax.run waits on its WaitGroup), so returning here
+		// abandons only this call's private arrays.
+		if err := ctx.Err(); err != nil {
+			return nil, nil, 0, err
+		}
+		cur, nxt := stages[a+i], stages[a+i+1]
+		curLo, curHi := cur.minJ, cur.maxJ
+		if i == 0 {
+			// Only the seeded column is populated; narrowing the scan band
+			// skips the guaranteed-inf columns.
+			curLo, curHi = j0, j0
+		}
+		ws, hasWin := windows[a+i+1]
+		// Only the destination band's columns are ever written or read back
+		// (the next stage's predecessor scan stays inside it), so the
+		// inf/-1 seeding is banded too — on recycled slabs the cells outside
+		// hold stale values that no read can reach.
+		bLo, bHi := nxt.minJ*kw, (nxt.maxJ+1)*kw
+		fillF64(nxtCost[bLo:bHi], inf)
+		fillI32(backs[i*width+bLo:i*width+bHi], -1)
+		sr := &stageRelax{
+			kMax: g.kMax, tw: g.jMax + 1,
+			curMinJ: curLo, curMaxJ: curHi,
+			nxtMinJ: nxt.minJ, nxtMaxJ: nxt.maxJ,
+			bands:   bands,
+			tr:      trans.forGrade(cfg.Route.GradeAt(cur.posM + g.ds/2)),
+			dTauT:   trans.dTauT,
+			curCost: curCost, curExact: curExact,
+			nxtCost: nxtCost, nxtExact: nxtExact,
+			nxtBack: backs[i*width : (i+1)*width],
+			dwell:   cur.dwellSec, timeW: cfg.TimeWeightAhPerSec,
+			maxTrip: cfg.MaxTripSec, invDt: 1 / cfg.DtSec,
+			depart: cfg.DepartTime, penalty: cfg.PenaltyAh,
+			ws: ws, hasWin: hasWin,
+		}
+		expanded += sr.run(cfg.Workers, pool)
+		curCost, nxtCost = nxtCost, curCost
+		curExact, nxtExact = nxtExact, curExact
+		pool.advance()
+	}
+	return curCost, curExact, expanded, nil
 }
 
 // assemble rebuilds the continuous-time profile and diagnostics from the

@@ -203,52 +203,18 @@ func TestCoarseRefineInfeasibleCoarseFallsBack(t *testing.T) {
 	requireIdenticalResults(t, want, res, "coarse fallback")
 }
 
-// TestCoarseRefineSegmentTables: coarse-refined route tables must stitch to
-// a feasible plan within ε of the exact stitched plan, carry the Refined
-// diagnostic, and refuse to serve a stitch config with mismatched refine
-// parameters (gridKey separation).
+// TestCoarseRefineSegmentTables: segment tables are exact only. A build
+// asking for the coarse-to-fine fast path is rejected, and exact tables
+// refuse to serve a stitch config that asks for it (gridKey separation).
 func TestCoarseRefineSegmentTables(t *testing.T) {
-	wf, err := QueueAwareWindows(queue.US25Params(),
-		ConstantArrivalRate(queue.VehPerHour(153)), 0, 900)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := coarseUS25(wf)
-	base.DepartTime = 40
-	base.StopDwellSec = 2
-
-	exactRT, err := BuildRouteTables(context.Background(), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exactRes, err := exactRT.StitchCtx(context.Background(), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	base := coarseUS25(nil)
 	cfg := base
 	cfg.CoarseRefine = CoarseRefine{Factor: 2}
-	rt, err := BuildRouteTables(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := BuildRouteTables(context.Background(), cfg); err == nil {
+		t.Fatal("coarse-refined segment tables were built")
 	}
-	res, err := rt.StitchCtx(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Refined == nil || res.Refined.Factor != 2 {
-		t.Fatalf("stitched coarse tables: diag %+v", res.Refined)
-	}
-	if res.ChargeAh < exactRes.ChargeAh-1e-12 || res.ChargeAh > exactRes.ChargeAh+refineEpsAh {
-		t.Fatalf("stitched refined charge %v vs exact %v (ε=%v)", res.ChargeAh, exactRes.ChargeAh, refineEpsAh)
-	}
-
-	// Exact stitch config against coarse tables must be rejected, and vice
-	// versa: approximate crossings must never serve exact requests.
-	if _, err := rt.StitchCtx(context.Background(), base); err == nil {
-		t.Fatal("coarse tables served an exact stitch config")
-	}
-	if _, err := exactRT.StitchCtx(context.Background(), cfg); err == nil {
+	rt := buildTestTables(t, base)
+	if _, err := rt.StitchCtx(context.Background(), cfg); err == nil {
 		t.Fatal("exact tables served a coarse stitch config")
 	}
 }

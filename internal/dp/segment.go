@@ -73,10 +73,6 @@ type RouteTables struct {
 	// entries[s] lists the entry tables of segment s in ascending entryJ.
 	entries       [][]entryTable
 	segmentSolves int
-	// refineMS is the resolved corridor half-width when the tables were
-	// built with CoarseRefine (0 for exact builds); stitched results then
-	// carry the Refined diagnostic.
-	refineMS float64
 }
 
 // gridKey is the comparable identity of everything baked into the tables:
@@ -96,9 +92,8 @@ type gridKey struct {
 	decelMaxMS2        float64
 	timeWeightAhPerSec float64
 	stopDwellSec       float64
-	// Coarse-refined tables hold approximate crossings (DESIGN.md §12), so
-	// they must not serve stitch configs expecting exact ones — and vice
-	// versa.
+	// Tables are exact, so a stitch config asking for the coarse-to-fine
+	// fast path (DESIGN.md §12) must not be answered from them.
 	coarseFactor     int
 	coarseCorridorMS float64
 }
@@ -143,14 +138,8 @@ func (rt *RouteTables) Crossings() int {
 // each segment once per admissible entry velocity. cfg.Windows and
 // cfg.DepartTime are ignored: windows bind at stitch time only. The
 // context is observed at every segment-stage boundary, exactly like
-// OptimizeCtx.
-//
-// With cfg.CoarseRefine enabled the per-entry solves take the
-// coarse-to-fine fast path (refine.go): each segment is first crossed on
-// the coarsened velocity grid, and the fine solve is restricted to the
-// corridor around every coarse crossing's path. The resulting tables hold
-// approximate crossings under the same error contract as OptimizeCtx
-// (DESIGN.md §12); gridKey keeps them apart from exact tables.
+// OptimizeCtx. Tables are always exact: a config asking for the
+// coarse-to-fine fast path is rejected.
 //
 //lint:certify pure
 func BuildRouteTables(ctx context.Context, cfg Config) (*RouteTables, error) {
@@ -161,6 +150,9 @@ func BuildRouteTables(ctx context.Context, cfg Config) (*RouteTables, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	if cfg.CoarseRefine.Factor != 0 {
+		return nil, fmt.Errorf("dp: segment tables are exact; CoarseRefine applies to OptimizeCtx only")
+	}
 	g, err := buildGrid(&cfg)
 	if err != nil {
 		return nil, err
@@ -170,31 +162,19 @@ func BuildRouteTables(ctx context.Context, cfg Config) (*RouteTables, error) {
 		return nil, err
 	}
 
-	// Boundary stages: source, every signal stage, destination. This is
-	// road.SegmentsAtSignals expressed in stage indexes; deriving it from
-	// the solved stage array keeps the split consistent with snapping.
-	bounds := []int{0}
-	for i, st := range stages {
-		if st.signal != nil {
-			bounds = append(bounds, i)
-		}
-	}
-	bounds = append(bounds, g.n)
+	bounds := segmentBounds(stages)
 	maxM := 0
 	for si := 0; si < len(bounds)-1; si++ {
-		if m := bounds[si+1] - bounds[si]; m > maxM {
-			maxM = m
-		}
+		maxM = max(maxM, bounds[si+1]-bounds[si])
 	}
 
 	bands := newAccelBands(&cfg, g.ds, g.jMax)
 	trans := newTransitionCache(&cfg, g.ds, g.jMax, bands)
-	d := newSegDP(cfg.Workers, g.jMax+1, g.kMax+1, maxM)
-	coarse := buildSegCoarse(&cfg, maxM)
+	kw := g.kMax + 1
+	width := (g.jMax + 1) * kw
+	slabs := grabSlabs(width, maxM*width, cfg.Workers, g.jMax+1, kw)
+	defer slabPool.Put(slabs)
 	rt := &RouteTables{cfg: cfg, key: gridKeyOf(&cfg), stages: stages, grid: g}
-	if coarse != nil {
-		rt.refineMS = coarse.margin
-	}
 	for si := 0; si < len(bounds)-1; si++ {
 		a, b := bounds[si], bounds[si+1]
 		spec := SegmentSpec{
@@ -206,32 +186,18 @@ func BuildRouteTables(ctx context.Context, cfg Config) (*RouteTables, error) {
 		}
 		var ets []entryTable
 		for j0 := stages[a].minJ; j0 <= stages[a].maxJ; j0++ {
-			var loJ, hiJ []int
-			if coarse != nil {
-				if loJ, hiJ, err = coarse.corridor(ctx, cfg.DvMS, g.jMax, a, b, j0); err != nil {
-					return nil, err
-				}
-			}
-			if err := d.solve(ctx, &cfg, g, stages, bands, trans, a, b, j0, loJ, hiJ); err != nil {
-				return nil, err
-			}
-			et, err := d.crossings(stages, a, b, j0)
+			// No windows inside a segment: signals sit only at boundaries,
+			// where the stitcher applies the penalties.
+			cost, exact, _, err := sweep(ctx, &cfg, g, stages, nil, bands, trans, slabs, a, b, j0)
 			if err != nil {
 				return nil, err
 			}
-			if len(et.crossings) == 0 && loJ != nil {
-				// The corridor cut off every crossing (coarse/fine
-				// reachability mismatch near a band edge): fall back to the
-				// unrestricted fine solve so feasibility is never lost.
-				if err := d.solve(ctx, &cfg, g, stages, bands, trans, a, b, j0, nil, nil); err != nil {
-					return nil, err
-				}
-				if et, err = d.crossings(stages, a, b, j0); err != nil {
-					return nil, err
-				}
+			et, err := crossingsOf(cost, exact, slabs.backs, g, stages, a, b, j0)
+			if err != nil {
+				return nil, err
 			}
 			rt.segmentSolves++
-			ets = append(ets, *et)
+			ets = append(ets, et)
 		}
 		rt.specs = append(rt.specs, spec)
 		rt.entries = append(rt.entries, ets)
@@ -239,109 +205,30 @@ func BuildRouteTables(ctx context.Context, cfg Config) (*RouteTables, error) {
 	return rt, nil
 }
 
-// segDP is the reusable solver state for per-segment DPs: double-buffered
-// value arrays, a flat backpointer slab sized for the longest segment, and
-// the relaxation pool. One segDP serves every (segment, entry) solve of a
-// build sequentially, eliminating the per-solve slab allocations that
-// previously dominated build time.
-type segDP struct {
-	kw, width          int
-	curCost, nxtCost   []float64
-	curExact, nxtExact []float64
-	backs              []int32
-	pool               *relaxPool
-}
-
-func newSegDP(workers, jw, kw, maxM int) *segDP {
-	width := jw * kw
-	return &segDP{
-		kw: kw, width: width,
-		curCost: make([]float64, width), nxtCost: make([]float64, width),
-		curExact: make([]float64, width), nxtExact: make([]float64, width),
-		backs: make([]int32, maxM*width),
-		pool:  newRelaxPool(workers, jw, kw),
+// segmentBounds lists the boundary stages of the segment split: source,
+// every signal stage, destination. Deriving the split from the stage array
+// keeps it consistent with the solver's Δs snapping.
+func segmentBounds(stages []stageInfo) []int {
+	bounds := []int{0}
+	for i, st := range stages {
+		if st.signal != nil {
+			bounds = append(bounds, i)
+		}
 	}
+	return append(bounds, len(stages)-1)
 }
 
-// solve runs the window-free DP over stages [a, b] seeded at entry velocity
-// index j0 with segment-relative time 0. loJ/hiJ, when non-nil, restrict
-// each *interior* stage's band (local indexes 1..m-1): the entry stage is
-// always narrowed to j0 and the exit stage keeps its full band so every
-// exit velocity stays representable in the crossing table. After solve
-// returns, curCost/curExact hold the exit stage and backs[(i-1)*width:]
-// stage i's incoming pointers.
-func (d *segDP) solve(ctx context.Context, cfg *Config, g dpGrid, stages []stageInfo,
-	bands *accelBands, trans *transitionCache, a, b, j0 int, loJ, hiJ []int) error {
-
+// crossingsOf extracts every finite exit state of a segment sweep over
+// stages [a, b] from entry j0 as a crossing table. cost and exact hold
+// stage b; backs holds stage a+i+1's backpointers at i*width.
+func crossingsOf(cost, exact []float64, backs []int32, g dpGrid, stages []stageInfo, a, b, j0 int) (entryTable, error) {
 	m := b - a
-	fillF64(d.curCost, inf)
-	d.curCost[j0*d.kw] = 0  // entry velocity j0, segment-relative elapsed 0
-	d.curExact[j0*d.kw] = 0 // the one exact cell read without a commit having written it
-	d.pool.seed(j0, 0, d.kw)
-
-	band := func(i int) (int, int) {
-		st := stages[a+i]
-		lo, hi := st.minJ, st.maxJ
-		if loJ != nil && i > 0 && i < m {
-			// Empty intersections keep the stage's own band, exactly like
-			// corridor.apply: conservative, never infeasible-by-clamping.
-			if l, h := max(lo, loJ[i]), min(hi, hiJ[i]); l <= h {
-				lo, hi = l, h
-			}
-		}
-		return lo, hi
-	}
-
-	for i := 0; i < m; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		cur := stages[a+i]
-		curLo, curHi := band(i)
-		if i == 0 {
-			// Only the seeded entry column is populated; narrowing the scan
-			// band skips the guaranteed-inf columns.
-			curLo, curHi = j0, j0
-		}
-		nxtLo, nxtHi := band(i + 1)
-		// Banded seeding, matching optimizeCore: no read ever leaves the
-		// destination band, so stale cells outside it are unreachable.
-		bLo, bHi := nxtLo*d.kw, (nxtHi+1)*d.kw
-		fillF64(d.nxtCost[bLo:bHi], inf)
-		fillI32(d.backs[i*d.width+bLo:i*d.width+bHi], -1)
-		sr := &stageRelax{
-			kMax: g.kMax, tw: g.jMax + 1,
-			curMinJ: curLo, curMaxJ: curHi,
-			nxtMinJ: nxtLo, nxtMaxJ: nxtHi,
-			bands:   bands,
-			tr:      trans.forGrade(cfg.Route.GradeAt(cur.posM + g.ds/2)),
-			dTauT:   trans.dTauT,
-			curCost: d.curCost, curExact: d.curExact,
-			nxtCost: d.nxtCost, nxtExact: d.nxtExact,
-			nxtBack: d.backs[i*d.width : (i+1)*d.width],
-			dwell:   cur.dwellSec, timeW: cfg.TimeWeightAhPerSec,
-			maxTrip: cfg.MaxTripSec, invDt: 1 / cfg.DtSec,
-			// No windows inside a segment: signals sit only at boundaries,
-			// where the stitcher applies the penalties.
-			depart: 0, penalty: 0, hasWin: false,
-		}
-		sr.run(cfg.Workers, d.pool)
-		d.curCost, d.nxtCost = d.nxtCost, d.curCost
-		d.curExact, d.nxtExact = d.nxtExact, d.curExact
-		d.pool.advance()
-	}
-	return nil
-}
-
-// crossings extracts every finite exit state of the last solve as a
-// crossing table.
-func (d *segDP) crossings(stages []stageInfo, a, b, j0 int) (*entryTable, error) {
-	m := b - a
-	kw := d.kw
-	et := &entryTable{entryJ: j0}
+	kw := g.kMax + 1
+	width := (g.jMax + 1) * kw
+	et := entryTable{entryJ: j0}
 	for j1 := stages[b].minJ; j1 <= stages[b].maxJ; j1++ {
 		for k := 0; k < kw; k++ {
-			c := d.curCost[j1*kw+k]
+			c := cost[j1*kw+k]
 			if c >= inf {
 				continue
 			}
@@ -349,123 +236,19 @@ func (d *segDP) crossings(stages []stageInfo, a, b, j0 int) (*entryTable, error)
 			path[m] = uint16(j1)
 			jj, kk := j1, k
 			for i := m; i > 0; i-- {
-				bp := d.backs[(i-1)*d.width+jj*kw+kk]
+				bp := backs[(i-1)*width+jj*kw+kk]
 				if bp < 0 {
-					return nil, fmt.Errorf("dp: broken segment backpointer at stage %d of [%d,%d] entry %d", i, a, b, j0)
+					return entryTable{}, fmt.Errorf("dp: broken segment backpointer at stage %d of [%d,%d] entry %d", i, a, b, j0)
 				}
 				jj, kk = int(bp>>16), int(bp&0xffff)
 				path[i-1] = uint16(jj)
 			}
 			et.crossings = append(et.crossings, crossing{
-				exitJ: j1, durSec: d.curExact[j1*kw+k], costAh: c, path: path,
+				exitJ: j1, durSec: exact[j1*kw+k], costAh: c, path: path,
 			})
 		}
 	}
 	return et, nil
-}
-
-// pathSpan walks every finite exit state's backpath from the last solve
-// and reports the per-stage velocity-index span they cover (local stage
-// indexes 0..m). ok is false when the segment has no finite exit at all.
-func (d *segDP) pathSpan(stages []stageInfo, a, b, jMax int) (loJ, hiJ []int, ok bool) {
-	m := b - a
-	kw := d.kw
-	loJ, hiJ = make([]int, m+1), make([]int, m+1)
-	for i := range loJ {
-		loJ[i], hiJ[i] = jMax+1, -1
-	}
-	for j1 := stages[b].minJ; j1 <= stages[b].maxJ; j1++ {
-		for k := 0; k < kw; k++ {
-			if d.curCost[j1*kw+k] >= inf {
-				continue
-			}
-			ok = true
-			jj, kk := j1, k
-			for i := m; ; i-- {
-				if jj < loJ[i] {
-					loJ[i] = jj
-				}
-				if jj > hiJ[i] {
-					hiJ[i] = jj
-				}
-				if i == 0 {
-					break
-				}
-				bp := d.backs[(i-1)*d.width+jj*kw+kk]
-				if bp < 0 {
-					break
-				}
-				jj, kk = int(bp>>16), int(bp&0xffff)
-			}
-		}
-	}
-	return loJ, hiJ, ok
-}
-
-// segCoarse is the coarsened-grid solver state a coarse-refined build
-// shares across its segments (refine.go documents the fast path).
-type segCoarse struct {
-	cfg    Config // coarse config: DvMS scaled by the factor
-	g      dpGrid
-	stages []stageInfo
-	bands  *accelBands
-	trans  *transitionCache
-	d      *segDP
-	margin float64 // resolved corridor half-width in m/s
-}
-
-// buildSegCoarse prepares the coarse solver, or returns nil when the fast
-// path is off or the coarsened grid is degenerate (Δv' above the route's
-// max speed) — the build then simply produces exact tables.
-func buildSegCoarse(cfg *Config, maxM int) *segCoarse {
-	if cfg.CoarseRefine.Factor < 2 {
-		return nil
-	}
-	ccfg := *cfg
-	ccfg.CoarseRefine = CoarseRefine{}
-	ccfg.DvMS = cfg.DvMS * float64(cfg.CoarseRefine.Factor)
-	cg, err := buildGrid(&ccfg)
-	if err != nil {
-		return nil
-	}
-	cstages, err := buildStages(ccfg, cg.n, cg.ds, cg.jMax)
-	if err != nil {
-		return nil // unreachable when the fine build succeeded (same Δs)
-	}
-	cbands := newAccelBands(&ccfg, cg.ds, cg.jMax)
-	return &segCoarse{
-		cfg: ccfg, g: cg, stages: cstages,
-		bands:  cbands,
-		trans:  newTransitionCache(&ccfg, cg.ds, cg.jMax, cbands),
-		d:      newSegDP(ccfg.Workers, cg.jMax+1, cg.kMax+1, maxM),
-		margin: cfg.CoarseRefine.marginMS(cfg.DvMS),
-	}
-}
-
-// corridor crosses the segment on the coarse grid from the coarse column
-// nearest entry j0·Δv and converts the span of every optimal backpath to
-// fine-grid bands widened by the corridor margin. nil bands mean "solve
-// unrestricted" (no coarse crossing exists).
-func (sc *segCoarse) corridor(ctx context.Context, fineDv float64, jMaxFine, a, b, j0 int) (loJ, hiJ []int, err error) {
-	j0c := int(math.Round(float64(j0) * fineDv / sc.cfg.DvMS))
-	if j0c > sc.g.jMax {
-		j0c = sc.g.jMax
-	}
-	if err := sc.d.solve(ctx, &sc.cfg, sc.g, sc.stages, sc.bands, sc.trans, a, b, j0c, nil, nil); err != nil {
-		return nil, nil, err
-	}
-	cLo, cHi, ok := sc.d.pathSpan(sc.stages, a, b, sc.g.jMax)
-	if !ok {
-		return nil, nil, nil
-	}
-	loJ, hiJ = make([]int, len(cLo)), make([]int, len(cLo))
-	for i := range cLo {
-		loJ[i], hiJ[i] = fineBand(
-			float64(cLo[i])*sc.cfg.DvMS-sc.margin,
-			float64(cHi[i])*sc.cfg.DvMS+sc.margin,
-			fineDv, jMaxFine)
-	}
-	return loJ, hiJ, nil
 }
 
 // stitchBack records how a boundary state was reached: the predecessor
@@ -594,14 +377,5 @@ func (rt *RouteTables) StitchCtx(ctx context.Context, cfg Config) (*Result, erro
 		}
 		jj, kk = int(sb.prevJ), int(sb.prevK)
 	}
-	res, err := assemble(cfg, rt.stages, js, rt.grid.ds, windows, bestCost, expanded)
-	if err != nil {
-		return nil, err
-	}
-	if f := rt.cfg.CoarseRefine.Factor; f >= 2 {
-		// The crossings themselves are the approximate artifact; every
-		// stitch over them inherits the coarse-to-fine error contract.
-		res.Refined = &RefineDiag{Factor: f, CorridorMS: rt.refineMS}
-	}
-	return res, nil
+	return assemble(cfg, rt.stages, js, rt.grid.ds, windows, bestCost, expanded)
 }

@@ -2,6 +2,9 @@ package dp
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"evvo/internal/ev"
@@ -44,39 +47,13 @@ func TestRouteTablesLayout(t *testing.T) {
 	if rt.Crossings() == 0 {
 		t.Fatal("no crossings extracted")
 	}
-	// road-level split agrees with the stage-level split up to Δs snapping
-	// (dp segment bounds sit on stage points, road bounds on the controls).
-	roadSegs := road.US25().SegmentsAtSignals()
-	if len(roadSegs) != len(segs) {
-		t.Fatalf("road split %d segments, dp split %d", len(roadSegs), len(segs))
-	}
+	// Each boundary sits on the stage nearest its signal.
 	const dsM = 100 // coarseUS25 grid
-	for i := range segs {
-		if !almost(roadSegs[i].StartM, segs[i].StartM, dsM/2) || !almost(roadSegs[i].EndM, segs[i].EndM, dsM/2) {
-			t.Fatalf("segment %d: road [%g,%g] vs dp [%g,%g]",
-				i, roadSegs[i].StartM, roadSegs[i].EndM, segs[i].StartM, segs[i].EndM)
+	for i, c := range road.US25().Signals() {
+		if segs[i].BoundaryName != c.Name || !almost(segs[i].EndM, c.PositionM, dsM/2) {
+			t.Fatalf("segment %d ends at %q %g m, signal %q sits at %g m",
+				i, segs[i].BoundaryName, segs[i].EndM, c.Name, c.PositionM)
 		}
-	}
-}
-
-// TestSegmentsAtSignals covers the road-level segmentation helper.
-func TestSegmentsAtSignals(t *testing.T) {
-	segs := road.US25().SegmentsAtSignals()
-	if len(segs) != 3 {
-		t.Fatalf("US-25: %d segments, want 3", len(segs))
-	}
-	if segs[0].Boundary == nil || segs[0].Boundary.Name != "light-1" {
-		t.Fatalf("first boundary = %+v, want light-1", segs[0].Boundary)
-	}
-	if segs[2].Boundary != nil {
-		t.Fatalf("final segment has boundary %+v, want nil", segs[2].Boundary)
-	}
-	open, err := road.NewRoute(road.RouteConfig{LengthM: 1000, DefaultMaxMS: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := open.SegmentsAtSignals(); len(got) != 1 || got[0].StartM != 0 || got[0].EndM != 1000 {
-		t.Fatalf("open road split = %+v, want one full-length segment", got)
 	}
 }
 
@@ -221,5 +198,66 @@ func TestBuildRouteTablesCancel(t *testing.T) {
 	rt := buildTestTables(t, base)
 	if _, err := rt.StitchCtx(ctx, base); err == nil {
 		t.Fatal("cancelled stitch returned a result")
+	}
+}
+
+// tablesHash digests everything a build hands to its consumers: the
+// segment specs, the solve count and every crossing (entry and exit
+// velocity, duration and cost bits, stage path), in table order.
+func tablesHash(w *TablesWire) uint64 {
+	h := fnv.New64a()
+	put := func(vs ...uint64) {
+		var b [8]byte
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(b[:], v)
+			_, _ = h.Write(b[:])
+		}
+	}
+	put(uint64(len(w.Specs)), uint64(w.SegmentSolves))
+	for _, sp := range w.Specs {
+		put(uint64(sp.StartStage), uint64(sp.EndStage), math.Float64bits(sp.StartM), math.Float64bits(sp.EndM))
+		_, _ = h.Write([]byte(sp.BoundaryName))
+	}
+	for _, ets := range w.Entries {
+		put(uint64(len(ets)))
+		for _, ew := range ets {
+			put(uint64(ew.EntryJ), uint64(len(ew.Crossings)))
+			for _, cw := range ew.Crossings {
+				put(uint64(cw.ExitJ), math.Float64bits(cw.DurSec), math.Float64bits(cw.CostAh), uint64(len(cw.Path)))
+				for _, j := range cw.Path {
+					put(uint64(j))
+				}
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// TestRouteTablesGolden pins the built tables bit for bit: the segment
+// solver is a refactoring target, and any change to its relaxation order,
+// seeding or extraction shows up here as a different digest. The worker
+// count must not matter (parallel.go's bit-identity contract).
+func TestRouteTablesGolden(t *testing.T) {
+	dwell := coarseUS25(nil)
+	dwell.StopDwellSec = 2
+	cases := []struct {
+		name              string
+		cfg               Config
+		solves, crossings int
+		hash              uint64
+	}{
+		{"production/w1", Config{Route: road.US25(), Vehicle: ev.SparkEV(), Workers: 1}, 23, 10876, 0x23ffc557688582cd},
+		{"production/w2", Config{Route: road.US25(), Vehicle: ev.SparkEV(), Workers: 2}, 23, 10876, 0x23ffc557688582cd},
+		{"coarse-dwell", dwell, 11, 1669, 0x43dbe6c360042b90},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := buildTestTables(t, tc.cfg)
+			got := tablesHash(rt.Export())
+			if rt.SegmentSolves() != tc.solves || rt.Crossings() != tc.crossings || got != tc.hash {
+				t.Fatalf("tables: %d solves, %d crossings, hash %#016x; want %d, %d, %#016x",
+					rt.SegmentSolves(), rt.Crossings(), got, tc.solves, tc.crossings, tc.hash)
+			}
+		})
 	}
 }

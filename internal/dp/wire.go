@@ -32,9 +32,6 @@ type TablesWire struct {
 	// SegmentSolves is the build cost the owner paid, carried along so an
 	// importing node's reuse accounting can report it.
 	SegmentSolves int
-	// RefineMS is the resolved coarse-refine corridor half-width (0 for
-	// exact builds).
-	RefineMS float64
 }
 
 // EntryWire mirrors entryTable.
@@ -58,7 +55,6 @@ func (rt *RouteTables) Export() *TablesWire {
 		Fingerprint:   fingerprintTables(&rt.cfg, rt.grid, rt.stages),
 		Specs:         rt.Segments(),
 		SegmentSolves: rt.segmentSolves,
-		RefineMS:      rt.refineMS,
 	}
 	w.Entries = make([][]EntryWire, len(rt.entries))
 	for s, ets := range rt.entries {
@@ -74,24 +70,6 @@ func (rt *RouteTables) Export() *TablesWire {
 		}
 	}
 	return w
-}
-
-// GridFingerprint computes the fingerprint a build (or import) under cfg
-// would carry, without solving anything. Callers use it to label caches.
-func GridFingerprint(cfg Config) (uint64, error) {
-	cfg.applyDefaults()
-	if err := cfg.validate(); err != nil {
-		return 0, err
-	}
-	g, err := buildGrid(&cfg)
-	if err != nil {
-		return 0, err
-	}
-	stages, err := buildStages(cfg, g.n, g.ds, g.jMax)
-	if err != nil {
-		return 0, err
-	}
-	return fingerprintTables(&cfg, g, stages), nil
 }
 
 // ImportRouteTables reconstructs servable RouteTables from their wire form
@@ -124,19 +102,13 @@ func ImportRouteTables(cfg Config, w *TablesWire) (*RouteTables, error) {
 
 	// The fingerprint pins the physics; the checks below pin the payload's
 	// structure against the locally rebuilt segmentation.
-	bounds := []int{0}
-	for i, st := range stages {
-		if st.signal != nil {
-			bounds = append(bounds, i)
-		}
-	}
-	bounds = append(bounds, g.n)
+	bounds := segmentBounds(stages)
 	if len(w.Specs) != len(bounds)-1 || len(w.Entries) != len(w.Specs) {
 		return nil, fmt.Errorf("dp: imported tables carry %d segments (%d entry sets), local route splits into %d",
 			len(w.Specs), len(w.Entries), len(bounds)-1)
 	}
 	rt := &RouteTables{cfg: cfg, key: gridKeyOf(&cfg), stages: stages, grid: g,
-		segmentSolves: w.SegmentSolves, refineMS: w.RefineMS}
+		segmentSolves: w.SegmentSolves}
 	for s := range w.Specs {
 		a, b := bounds[s], bounds[s+1]
 		spec := w.Specs[s]
@@ -144,7 +116,6 @@ func ImportRouteTables(cfg Config, w *TablesWire) (*RouteTables, error) {
 			return nil, fmt.Errorf("dp: imported segment %d spans stages [%d,%d], local split says [%d,%d]",
 				s, spec.StartStage, spec.EndStage, a, b)
 		}
-		m := b - a
 		ets := make([]entryTable, 0, len(w.Entries[s]))
 		prevJ := -1
 		for _, ew := range w.Entries[s] {
@@ -159,10 +130,10 @@ func ImportRouteTables(cfg Config, w *TablesWire) (*RouteTables, error) {
 					return nil, fmt.Errorf("dp: imported crossing exits at velocity %d outside band [%d,%d]",
 						cw.ExitJ, stages[b].minJ, stages[b].maxJ)
 				}
-				if len(cw.Path) != m+1 {
-					return nil, fmt.Errorf("dp: imported crossing path has %d stages, segment spans %d", len(cw.Path), m+1)
+				if err := checkPath(cw.Path, stages[a:b+1], ew.EntryJ, cw.ExitJ); err != nil {
+					return nil, err
 				}
-				if !(cw.DurSec >= 0) || !(cw.CostAh < math.MaxFloat64) || math.IsNaN(cw.CostAh) {
+				if !finite(cw.DurSec) || cw.DurSec < 0 || !finite(cw.CostAh) || cw.CostAh >= inf {
 					return nil, fmt.Errorf("dp: imported crossing has non-finite duration/cost (%g s, %g Ah)",
 						cw.DurSec, cw.CostAh)
 				}
@@ -177,6 +148,30 @@ func ImportRouteTables(cfg Config, w *TablesWire) (*RouteTables, error) {
 	}
 	return rt, nil
 }
+
+// checkPath verifies that an imported crossing's stage path is one the
+// segment sweep could have produced: one velocity index per segment stage,
+// starting at the entry velocity, ending at the exit velocity, and inside
+// every stage's admissible band. A path outside the bands would stitch a
+// plan the physics never priced.
+func checkPath(path []uint16, seg []stageInfo, entryJ, exitJ int) error {
+	if len(path) != len(seg) {
+		return fmt.Errorf("dp: imported crossing path has %d stages, segment spans %d", len(path), len(seg))
+	}
+	if int(path[0]) != entryJ || int(path[len(path)-1]) != exitJ {
+		return fmt.Errorf("dp: imported crossing path runs %d→%d, crossing says %d→%d",
+			path[0], path[len(path)-1], entryJ, exitJ)
+	}
+	for i, j := range path {
+		if int(j) < seg[i].minJ || int(j) > seg[i].maxJ {
+			return fmt.Errorf("dp: imported crossing path stage %d velocity %d outside band [%d,%d]",
+				i, j, seg[i].minJ, seg[i].maxJ)
+		}
+	}
+	return nil
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // fingerprintTables hashes everything the segment solver consumed: the
 // grid-defining config fields, the vehicle, and the discretized stages

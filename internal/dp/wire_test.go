@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"math"
 	"testing"
 )
 
@@ -50,42 +51,21 @@ func TestWireRoundTripParity(t *testing.T) {
 	}
 }
 
-// TestWireFingerprintPinsGrid: the fingerprint must change with any
-// grid-defining parameter and GridFingerprint must agree with Export.
+// TestWireFingerprintPinsGrid: tables exported under one grid or route must
+// be refused by an importer whose local config differs in either.
 func TestWireFingerprintPinsGrid(t *testing.T) {
 	cfg := coarseUS25(nil)
-	rt := buildTestTables(t, cfg)
-	w := rt.Export()
-
-	fp, err := GridFingerprint(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp != w.Fingerprint {
-		t.Fatalf("GridFingerprint %016x, Export carries %016x", fp, w.Fingerprint)
-	}
+	w := buildTestTables(t, cfg).Export()
 
 	coarser := cfg
 	coarser.DsM = 200
-	fp2, err := GridFingerprint(coarser)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp2 == fp {
-		t.Fatal("fingerprint unchanged across a grid change")
-	}
 	if _, err := ImportRouteTables(coarser, w); err == nil {
 		t.Fatal("tables built on a different grid were imported")
 	}
-
 	otherRoute := cfg
 	otherRoute.Route = openRoad(t)
-	fp3, err := GridFingerprint(otherRoute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp3 == fp {
-		t.Fatal("fingerprint unchanged across a route change")
+	if _, err := ImportRouteTables(otherRoute, w); err == nil {
+		t.Fatal("tables built on a different route were imported")
 	}
 }
 
@@ -117,6 +97,23 @@ func TestWireImportRejectsCorruption(t *testing.T) {
 		cr.Path = cr.Path[:1]
 	})
 	corrupt("negative duration", func(w *TablesWire) { w.Entries[0][0].Crossings[0].DurSec = -1 })
+	corrupt("infinite duration", func(w *TablesWire) { w.Entries[0][0].Crossings[0].DurSec = math.Inf(1) })
+	corrupt("-Inf cost", func(w *TablesWire) { w.Entries[0][0].Crossings[0].CostAh = math.Inf(-1) })
+	corrupt("NaN cost", func(w *TablesWire) { w.Entries[0][0].Crossings[0].CostAh = math.NaN() })
+	corrupt("path speed out of band", func(w *TablesWire) {
+		for _, ets := range w.Entries {
+			for _, ew := range ets {
+				for _, cw := range ew.Crossings {
+					cw.Path[1] = 60000
+				}
+			}
+		}
+	})
+	corrupt("path leaves from another entry", func(w *TablesWire) { w.Entries[0][0].Crossings[0].Path[0]++ })
+	corrupt("path ends at another exit", func(w *TablesWire) {
+		cr := &w.Entries[0][0].Crossings[0]
+		cr.Path[len(cr.Path)-1]++
+	})
 	corrupt("shifted spec stages", func(w *TablesWire) { w.Specs[0].EndStage++ })
 	if _, err := ImportRouteTables(cfg, nil); err == nil {
 		t.Fatal("nil wire accepted")
