@@ -1,12 +1,14 @@
 // The `dp` subcommand: solver micro-benchmark for the Fig-6 queue-aware
-// problem across the three serving modes — exact DP with the relaxation
+// problem across the four serving modes — exact DP with the relaxation
 // kernels forced off (the portable scalar path), exact DP with the AVX2
-// kernels, and the coarse-to-fine fast path (DESIGN.md §12). It emits a
+// kernels, the coarse-to-fine fast path (DESIGN.md §12), and a warm stitch
+// from segment tables built outside the timer (DESIGN.md §11). It emits a
 // text table and, with -out, the BENCH_dp.json artifact `make bench-dp`
 // and CI archive.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -32,6 +34,11 @@ const dpDocumentedSeedMs = 2.3
 // dp package's property tests pin it; this guards the benchmark artifact).
 const dpCoarseEpsAh = 1e-3
 
+// dpStitchTolAh bounds the warm stitch's charge gap to the exact solve: the
+// two bucket elapsed time differently inside segments (DESIGN.md §11), the
+// same tolerance TestStitchMatchesMonolithicFig6 pins.
+const dpStitchTolAh = 0.01
+
 // dpBenchMode is one timed solver configuration.
 type dpBenchMode struct {
 	Name string `json:"name"`
@@ -49,11 +56,14 @@ type dpBenchMode struct {
 
 // dpBenchReport is the BENCH_dp.json payload.
 type dpBenchReport struct {
-	Figure           string       `json:"figure"` // the benchmarked problem
-	Iterations       int          `json:"iterations"`
-	KernelsAvailable bool         `json:"kernelsAvailable"`
-	DocumentedSeedMs float64      `json:"documentedSeedMs"`
+	Figure           string        `json:"figure"` // the benchmarked problem
+	Iterations       int           `json:"iterations"`
+	KernelsAvailable bool          `json:"kernelsAvailable"`
+	DocumentedSeedMs float64       `json:"documentedSeedMs"`
 	Modes            []dpBenchMode `json:"modes"`
+	// StitchOverSolve = stitch-warm MinMs / exact-kernels MinMs: what a
+	// warm plan costs relative to solving it from scratch.
+	StitchOverSolve float64 `json:"stitch_over_solve"`
 }
 
 // dpFig6Config is the Fig-6(b) queue-aware problem on the figure grid,
@@ -71,17 +81,17 @@ func dpFig6Config() (dp.Config, error) {
 	}, nil
 }
 
-// dpTimeMode solves cfg iters times and reports (min ms, median ms, last
+// dpTimeMode runs solve iters times and reports (min ms, median ms, last
 // result). One warmup solve precedes the timed runs so slab-pool and
 // transition-cache fills do not count against the first iteration.
-func dpTimeMode(cfg dp.Config, iters int) (minMs, medMs float64, res *dp.Result, err error) {
-	if res, err = dp.Optimize(cfg); err != nil {
+func dpTimeMode(solve func() (*dp.Result, error), iters int) (minMs, medMs float64, res *dp.Result, err error) {
+	if res, err = solve(); err != nil {
 		return 0, 0, nil, err
 	}
 	times := make([]float64, iters)
 	for i := range times {
 		start := time.Now()
-		if res, err = dp.Optimize(cfg); err != nil {
+		if res, err = solve(); err != nil {
 			return 0, 0, nil, err
 		}
 		times[i] = float64(time.Since(start).Nanoseconds()) / 1e6
@@ -90,9 +100,15 @@ func dpTimeMode(cfg dp.Config, iters int) (minMs, medMs float64, res *dp.Result,
 	return times[0], times[iters/2], res, nil
 }
 
-// dpBench runs the three modes and assembles the report. The scalar and
+// optimizeFn adapts dp.Optimize on a fixed config to dpTimeMode.
+func optimizeFn(cfg dp.Config) func() (*dp.Result, error) {
+	return func() (*dp.Result, error) { return dp.Optimize(cfg) }
+}
+
+// dpBench runs the four modes and assembles the report. The scalar and
 // kernel modes must agree bit-for-bit (the parity contract); the coarse
-// mode must stay within dpCoarseEpsAh of the exact charge.
+// mode must stay within dpCoarseEpsAh of the exact charge, the warm stitch
+// within dpStitchTolAh.
 func dpBench(fid experiments.Fidelity) (*dpBenchReport, error) {
 	iters := 50
 	if fid == experiments.FidelityFast {
@@ -109,14 +125,14 @@ func dpBench(fid experiments.Fidelity) (*dpBenchReport, error) {
 
 	prev := dp.SetAsmKernels(false)
 	defer dp.SetAsmKernels(prev)
-	sMin, sMed, sRes, err := dpTimeMode(cfg, iters)
+	sMin, sMed, sRes, err := dpTimeMode(optimizeFn(cfg), iters)
 	if err != nil {
 		return nil, fmt.Errorf("scalar mode: %w", err)
 	}
 
 	dp.SetAsmKernels(true)
 	rep.KernelsAvailable = dp.KernelsEnabled()
-	kMin, kMed, kRes, err := dpTimeMode(cfg, iters)
+	kMin, kMed, kRes, err := dpTimeMode(optimizeFn(cfg), iters)
 	if err != nil {
 		return nil, fmt.Errorf("kernel mode: %w", err)
 	}
@@ -126,7 +142,7 @@ func dpBench(fid experiments.Fidelity) (*dpBenchReport, error) {
 
 	ccfg := cfg
 	ccfg.CoarseRefine = dp.CoarseRefine{Factor: 3, CorridorMS: 3}
-	cMin, cMed, cRes, err := dpTimeMode(ccfg, iters)
+	cMin, cMed, cRes, err := dpTimeMode(optimizeFn(ccfg), iters)
 	if err != nil {
 		return nil, fmt.Errorf("coarse-refine mode: %w", err)
 	}
@@ -137,6 +153,23 @@ func dpBench(fid experiments.Fidelity) (*dpBenchReport, error) {
 		return nil, fmt.Errorf("coarse-refine charge %v vs exact %v: outside [0, %g] Ah",
 			cRes.ChargeAh, sRes.ChargeAh, dpCoarseEpsAh)
 	}
+
+	// Warm stitch: the tables are built once, outside the timer, exactly
+	// as a serving node holds them; only StitchCtx is timed.
+	ctx := context.Background()
+	rt, err := dp.BuildRouteTables(ctx, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("stitch-warm tables: %w", err)
+	}
+	wMin, wMed, wRes, err := dpTimeMode(func() (*dp.Result, error) { return rt.StitchCtx(ctx, cfg) }, iters)
+	if err != nil {
+		return nil, fmt.Errorf("stitch-warm mode: %w", err)
+	}
+	if gap := wRes.ChargeAh - kRes.ChargeAh; gap < -dpStitchTolAh || gap > dpStitchTolAh || wRes.Penalized != kRes.Penalized {
+		return nil, fmt.Errorf("stitch-warm charge %v Ah (penalized %v) vs exact %v Ah (penalized %v): outside ±%g Ah",
+			wRes.ChargeAh, wRes.Penalized, kRes.ChargeAh, kRes.Penalized, dpStitchTolAh)
+	}
+	rep.StitchOverSolve = wMin / kMin
 
 	mode := func(name string, minMs, medMs float64, r *dp.Result) dpBenchMode {
 		return dpBenchMode{
@@ -152,6 +185,7 @@ func dpBench(fid experiments.Fidelity) (*dpBenchReport, error) {
 		mode("exact-scalar", sMin, sMed, sRes),
 		mode("exact-kernels", kMin, kMed, kRes),
 		mode("coarse-refine", cMin, cMed, cRes),
+		mode("stitch-warm", wMin, wMed, wRes),
 	}
 	return rep, nil
 }
@@ -167,6 +201,7 @@ func (r *dpBenchReport) Render(w io.Writer) error {
 		fmt.Fprintf(w, "%-14s %9.3f %9.3f %8.2fx %12.1f %9.1f %8d\n",
 			m.Name, m.MinMs, m.MedianMs, m.SpeedupVsScalar, m.PlannedMAh, m.TripSec, m.StatesExpanded)
 	}
+	fmt.Fprintf(w, "\nstitch-warm / exact-kernels: %.2f\n", r.StitchOverSolve)
 	return nil
 }
 

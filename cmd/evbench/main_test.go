@@ -46,7 +46,7 @@ func TestRunUnknownFigure(t *testing.T) {
 }
 
 // TestRunDPBench exercises the dp subcommand end to end: the table renders,
-// the -out JSON artifact decodes, and it carries the three serving modes
+// the -out JSON artifact decodes, and it carries the four serving modes
 // with sane timings and the parity/ε checks already enforced internally.
 func TestRunDPBench(t *testing.T) {
 	outPath := filepath.Join(t.TempDir(), "BENCH_dp.json")
@@ -65,8 +65,8 @@ func TestRunDPBench(t *testing.T) {
 	if err := json.Unmarshal(body, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Modes) != 3 {
-		t.Fatalf("modes = %d, want 3", len(rep.Modes))
+	if len(rep.Modes) != 4 {
+		t.Fatalf("modes = %d, want 4", len(rep.Modes))
 	}
 	for _, m := range rep.Modes {
 		if m.MinMs <= 0 || m.MedianMs < m.MinMs || m.SpeedupVsScalar <= 0 {
@@ -79,7 +79,10 @@ func TestRunDPBench(t *testing.T) {
 	if !rep.Modes[2].Refined {
 		t.Fatalf("coarse-refine mode not flagged Refined: %+v", rep.Modes[2])
 	}
-	if rep.Modes[0].Refined || rep.Modes[1].Refined {
+	if rep.Modes[0].Refined || rep.Modes[1].Refined || rep.Modes[3].Refined {
 		t.Fatal("exact modes flagged Refined")
+	}
+	if rep.Modes[3].Name != "stitch-warm" || rep.StitchOverSolve <= 0 {
+		t.Fatalf("stitch-warm mode missing or unpriced: %+v, stitch/solve %v", rep.Modes[3], rep.StitchOverSolve)
 	}
 }

@@ -84,14 +84,19 @@ func newRelaxPool(workers, jw, kw int) *relaxPool {
 		per: make([]relaxScratch, workers),
 	}
 	for i := range p.per {
-		p.per[i] = relaxScratch{
-			cand: make([]float64, kw),
-			tot:  make([]float64, kw),
-			k2f:  make([]float64, kw),
-			mask: make([]uint8, (kw+3)/4),
-		}
+		p.per[i] = newRelaxScratch(kw)
 	}
 	return p
+}
+
+// newRelaxScratch allocates lane buffers for relaxEval calls of up to n lanes.
+func newRelaxScratch(n int) relaxScratch {
+	return relaxScratch{
+		cand: make([]float64, n),
+		tot:  make([]float64, n),
+		k2f:  make([]float64, n),
+		mask: make([]uint8, (n+3)/4),
+	}
 }
 
 // fit returns a pool sized for the given geometry, reusing the receiver's

@@ -25,9 +25,11 @@ package dp
 import (
 	"context"
 	"fmt"
-	"math"
+	"math/bits"
+	"sync"
 
 	"evvo/internal/ev"
+	"evvo/internal/queue"
 	"evvo/internal/road"
 )
 
@@ -42,23 +44,26 @@ type SegmentSpec struct {
 	BoundaryName string
 }
 
-// crossing is one admissible traversal of a segment for a fixed entry
-// velocity: the cheapest path that exits at exitJ·Δv with a duration in
-// this crossing's time bucket. Costs include the charge ζ and the
+// entryTable holds every crossing of one segment for one entry velocity, as
+// parallel arrays indexed by crossing. A crossing is one admissible
+// traversal: the cheapest path that exits at exitJ·Δv with a duration in
+// that crossing's time bucket. Costs include the charge ζ and the
 // time-weight price of the duration, but no window penalties — those are
 // applied at stitch time, where the absolute arrival time is known.
-type crossing struct {
-	exitJ  int
-	durSec float64 // exact traversal time, interior stop-sign dwell included
-	costAh float64
-	path   []uint16 // velocity index per stage, len = EndStage-StartStage+1
+// Crossings are ordered by ascending (exit velocity, duration bucket), the
+// order crossingsOf extracts them in.
+type entryTable struct {
+	entryJ int
+	exitJ  []int32
+	durSec []float64 // exact traversal time, interior stop-sign dwell included
+	costAh []float64
+	// paths holds crossing c's velocity index per stage at
+	// [c*stride, (c+1)*stride), stride = EndStage-StartStage+1.
+	paths []uint16
 }
 
-// entryTable holds every crossing of one segment for one entry velocity.
-type entryTable struct {
-	entryJ    int
-	crossings []crossing
-}
+// path returns crossing c's stage path.
+func (et *entryTable) path(c, stride int) []uint16 { return et.paths[c*stride : (c+1)*stride] }
 
 // RouteTables is the solved per-segment decomposition of one route on one
 // DP grid. Build once with BuildRouteTables, then answer any number of
@@ -73,6 +78,13 @@ type RouteTables struct {
 	// entries[s] lists the entry tables of segment s in ascending entryJ.
 	entries       [][]entryTable
 	segmentSolves int
+
+	// Stitch geometry, derived from the filled tables by index: boundary
+	// s's banded backpointer cells start at backOff[s] (len(specs)+2
+	// offsets), maxBand is the widest boundary velocity band and maxCross
+	// the largest entry table (the lane-buffer length).
+	backOff           []int
+	maxBand, maxCross int
 }
 
 // gridKey is the comparable identity of everything baked into the tables:
@@ -128,10 +140,39 @@ func (rt *RouteTables) Crossings() int {
 	total := 0
 	for _, ets := range rt.entries {
 		for _, et := range ets {
-			total += len(et.crossings)
+			total += len(et.exitJ)
 		}
 	}
 	return total
+}
+
+// boundary returns the stage index of stitch boundary s: segment s's start
+// stage, or the destination for s == len(specs).
+func (rt *RouteTables) boundary(s int) int {
+	if s == len(rt.specs) {
+		return rt.specs[s-1].EndStage
+	}
+	return rt.specs[s].StartStage
+}
+
+// index derives the stitch geometry from the filled specs and entries.
+// Every boundary keeps only its stage's [minJ, maxJ] band, so the
+// backpointer slab is Σ band·(kMax+1) cells rather than a full velocity
+// width per boundary.
+func (rt *RouteTables) index() {
+	kw := rt.grid.kMax + 1
+	rt.backOff = make([]int, len(rt.specs)+2)
+	for s := 0; s <= len(rt.specs); s++ {
+		st := rt.stages[rt.boundary(s)]
+		band := st.maxJ - st.minJ + 1
+		rt.backOff[s+1] = rt.backOff[s] + band*kw
+		rt.maxBand = max(rt.maxBand, band)
+	}
+	for _, ets := range rt.entries {
+		for i := range ets {
+			rt.maxCross = max(rt.maxCross, len(ets[i].exitJ))
+		}
+	}
 }
 
 // BuildRouteTables splits cfg.Route at its signal boundaries and solves
@@ -202,6 +243,7 @@ func BuildRouteTables(ctx context.Context, cfg Config) (*RouteTables, error) {
 		rt.specs = append(rt.specs, spec)
 		rt.entries = append(rt.entries, ets)
 	}
+	rt.index()
 	return rt, nil
 }
 
@@ -219,43 +261,161 @@ func segmentBounds(stages []stageInfo) []int {
 }
 
 // crossingsOf extracts every finite exit state of a segment sweep over
-// stages [a, b] from entry j0 as a crossing table. cost and exact hold
-// stage b; backs holds stage a+i+1's backpointers at i*width.
+// stages [a, b] from entry j0 as a crossing table, in ascending (exit
+// velocity, bucket) order. cost and exact hold stage b; backs holds stage
+// a+i+1's backpointers at i*width. The table's arrays are sized exactly
+// (one counting pass first), so a build's resident tables carry no append
+// slack.
 func crossingsOf(cost, exact []float64, backs []int32, g dpGrid, stages []stageInfo, a, b, j0 int) (entryTable, error) {
 	m := b - a
+	stride := m + 1
 	kw := g.kMax + 1
 	width := (g.jMax + 1) * kw
-	et := entryTable{entryJ: j0}
-	for j1 := stages[b].minJ; j1 <= stages[b].maxJ; j1++ {
-		for k := 0; k < kw; k++ {
-			c := cost[j1*kw+k]
-			if c >= inf {
-				continue
-			}
-			path := make([]uint16, m+1)
-			path[m] = uint16(j1)
-			jj, kk := j1, k
-			for i := m; i > 0; i-- {
-				bp := backs[(i-1)*width+jj*kw+kk]
-				if bp < 0 {
-					return entryTable{}, fmt.Errorf("dp: broken segment backpointer at stage %d of [%d,%d] entry %d", i, a, b, j0)
-				}
-				jj, kk = int(bp>>16), int(bp&0xffff)
-				path[i-1] = uint16(jj)
-			}
-			et.crossings = append(et.crossings, crossing{
-				exitJ: j1, durSec: exact[j1*kw+k], costAh: c, path: path,
-			})
+	lo, hi := stages[b].minJ*kw, (stages[b].maxJ+1)*kw
+	count := 0
+	for _, c := range cost[lo:hi] {
+		if c < inf {
+			count++
 		}
+	}
+	et := entryTable{
+		entryJ: j0,
+		exitJ:  make([]int32, 0, count),
+		durSec: make([]float64, 0, count),
+		costAh: make([]float64, 0, count),
+		paths:  make([]uint16, count*stride),
+	}
+	for x := lo; x < hi; x++ {
+		c := cost[x]
+		if c >= inf {
+			continue
+		}
+		j1, k := x/kw, x%kw
+		path := et.path(len(et.exitJ), stride)
+		path[m] = uint16(j1)
+		jj, kk := j1, k
+		for i := m; i > 0; i-- {
+			bp := backs[(i-1)*width+jj*kw+kk]
+			if bp < 0 {
+				return entryTable{}, fmt.Errorf("dp: broken segment backpointer at stage %d of [%d,%d] entry %d", i, a, b, j0)
+			}
+			jj, kk = int(bp>>16), int(bp&0xffff)
+			path[i-1] = uint16(jj)
+		}
+		et.exitJ = append(et.exitJ, int32(j1))
+		et.durSec = append(et.durSec, exact[x])
+		et.costAh = append(et.costAh, c)
 	}
 	return et, nil
 }
 
-// stitchBack records how a boundary state was reached: the predecessor
-// boundary state and the crossing that bridged them.
-type stitchBack struct {
-	prevJ, prevK int32
-	cr           *crossing
+// stitchSlabs recycles a stitch's working memory across StitchCtx calls:
+// the cost/exact arrays of the two live boundaries (the one being read and
+// the one being written), the banded backpointer pairs of every boundary,
+// and the lane buffers relaxEval fills. All of it is pointer-free, so the
+// GC never scans it. Recycling is safe because each boundary's cost and
+// backpointer band is re-seeded (inf / -1) before it is written, exact
+// cells are read only behind a finite cost, and lane cells only behind a
+// mask bit set by the same relaxEval call.
+type stitchSlabs struct {
+	vals []float64 // 4 * maxBand*(kMax+1): curCost, nxtCost, curExact, nxtExact
+	// A boundary cell's backpointer pair: from packs the predecessor
+	// boundary state as entry<<16 | k (entry indexes the segment's entry
+	// tables, -1 = unreached); cross is the bridging crossing's index in
+	// that entry table.
+	from, cross []int32
+	lanes       relaxScratch
+}
+
+var stitchPool = sync.Pool{New: func() any { return new(stitchSlabs) }}
+
+// grabStitchSlabs returns recycled stitch slabs grown to hold `cells` value
+// cells per boundary, `backs` backpointer cells and `lanes` crossings per
+// relaxEval call.
+func grabStitchSlabs(cells, backs, lanes int) *stitchSlabs {
+	sl := stitchPool.Get().(*stitchSlabs)
+	if cap(sl.vals) < 4*cells {
+		sl.vals = make([]float64, 4*cells)
+	}
+	sl.vals = sl.vals[:4*cells]
+	if cap(sl.from) < backs {
+		sl.from = make([]int32, backs)
+		sl.cross = make([]int32, backs)
+	}
+	sl.from, sl.cross = sl.from[:backs], sl.cross[:backs]
+	if cap(sl.lanes.cand) < lanes {
+		sl.lanes = newRelaxScratch(lanes)
+	}
+	return sl
+}
+
+// stitchStep is one boundary transition's commit state: the window test at
+// the destination boundary and that boundary's banded slabs, indexed
+// [(exitJ-minJ)*kw + k2].
+type stitchStep struct {
+	ws              []queue.Window // sorted by Start (shrunkWindows' contract)
+	hasWin          bool
+	depart, penalty float64
+	kw, minJ        int
+
+	cost, exact []float64
+	from, cross []int32
+}
+
+// commit is the scalar half of one (entry, k) source cell's relaxation:
+// relaxEval has evaluated the entry's n crossings as lanes, and commit walks
+// the mask bits in ascending crossing order, adds the window penalty at the
+// absolute arrival time and keeps strict improvements. Visit order across
+// calls is (entry, k, crossing), so ties keep the first-visited predecessor.
+// Arrival times ascend with the bucket inside one exit velocity and drop at
+// the next, so the sorted-window cursor restarts whenever the arrival time
+// decreases — correct for any crossing order. It returns the number of
+// crossings expanded (those within the trip budget).
+//
+//lint:hot
+func (st *stitchStep) commit(et *entryTable, lanes *relaxScratch, n int, from int32) int {
+	expanded := 0
+	wi, last := 0, 0.0
+	tt, cd, kf := lanes.tot[:n], lanes.cand[:n], lanes.k2f[:n]
+	exitJ := et.exitJ[:n]
+	nb := (n + 3) >> 2
+	for bi := 0; bi < nb; bi++ {
+		m := lanes.mask[bi]
+		if m == 0 {
+			continue
+		}
+		expanded += bits.OnesCount8(m)
+		base := bi << 2
+		for ; m != 0; m &= m - 1 {
+			i := base + bits.TrailingZeros8(m)
+			if i >= n {
+				break // unreachable: mask bits past n are never set
+			}
+			tot := tt[i]
+			nc := cd[i]
+			if st.hasWin {
+				t := st.depart + tot
+				if t < last {
+					wi = 0
+				}
+				last = t
+				for wi < len(st.ws) && st.ws[wi].End <= t {
+					wi++
+				}
+				if wi >= len(st.ws) || t < st.ws[wi].Start {
+					nc += st.penalty
+				}
+			}
+			idx := (int(exitJ[i])-st.minJ)*st.kw + int(kf[i])
+			if nc < st.cost[idx] {
+				st.cost[idx] = nc
+				st.exact[idx] = tot
+				st.from[idx] = from
+				st.cross[idx] = int32(i)
+			}
+		}
+	}
+	return expanded
 }
 
 // StitchCtx assembles the optimal profile for one request from the solved
@@ -265,6 +425,14 @@ type stitchBack struct {
 // inputs — DepartTime, Windows, margins, PenaltyAh — and must match the
 // build config on every grid-defining field (route, vehicle, Δs/Δv/Δt,
 // trip budget, accel bounds, time weight, dwell), or an error is returned.
+//
+// The boundary DP runs on the sweep's machinery (DESIGN.md §11–12): for
+// each finite source cell (entry velocity, bucket k), relaxEval evaluates
+// the entry's crossings as lanes — candidate cost costAh+c0, arrival
+// durSec+elapsed, bucket floor(t·(1/Δt)+0.5), trip-budget mask — and
+// stitchStep.commit resolves the scatter. Both sums are the scalar ones
+// with commuted operands, so they are bit-identical to the per-crossing
+// loop they replace.
 //
 // The stitched optimum agrees with OptimizeCtx up to time-bucket merging:
 // the monolithic DP buckets paths by absolute elapsed time at every stage,
@@ -290,69 +458,61 @@ func (rt *RouteTables) StitchCtx(ctx context.Context, cfg Config) (*Result, erro
 	windows := shrunkWindows(&cfg, rt.stages)
 	m := len(rt.specs)
 	kw := rt.grid.kMax + 1
-	width := (rt.grid.jMax + 1) * kw
-	cost := make([][]float64, m+1)
-	exact := make([][]float64, m+1)
-	back := make([][]stitchBack, m+1)
-	for i := range cost {
-		cost[i] = make([]float64, width)
-		exact[i] = make([]float64, width)
-		back[i] = make([]stitchBack, width)
-		for x := range cost[i] {
-			cost[i][x] = inf
-		}
-	}
-	cost[0][0] = 0 // v = 0, elapsed = 0 at the source
+	cells := rt.maxBand * kw
+	sl := grabStitchSlabs(cells, rt.backOff[m+1], rt.maxCross)
+	defer stitchPool.Put(sl)
+	curCost, nxtCost := sl.vals[0*cells:1*cells], sl.vals[1*cells:2*cells]
+	curExact, nxtExact := sl.vals[2*cells:3*cells], sl.vals[3*cells:4*cells]
+	// Boundary 0 is the source, whose band is velocity 0 alone: elapsed 0.
+	fillF64(curCost[:kw], inf)
+	curCost[0], curExact[0] = 0, 0
 
+	useAsm := useAsmKernels
+	invDt, kMaxF := 1/cfg.DtSec, float64(rt.grid.kMax)
+	lanes := &sl.lanes
 	expanded := 0
 	for s := 0; s < m; s++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		src, dst := rt.stages[rt.specs[s].StartStage], rt.stages[rt.specs[s].EndStage]
+		band := (dst.maxJ - dst.minJ + 1) * kw
+		lo, hi := rt.backOff[s+1], rt.backOff[s+2]
+		fillF64(nxtCost[:band], inf)
+		fillI32(sl.from[lo:hi], -1)
 		ws, hasWin := windows[rt.specs[s].EndStage]
-		nxtCost, nxtExact, nxtBack := cost[s+1], exact[s+1], back[s+1]
-		for ei := range rt.entries[s] {
-			et := &rt.entries[s][ei]
-			srcCost := cost[s][et.entryJ*kw : (et.entryJ+1)*kw]
-			srcExact := exact[s][et.entryJ*kw : (et.entryJ+1)*kw]
+		step := stitchStep{
+			ws: ws, hasWin: hasWin, depart: cfg.DepartTime, penalty: cfg.PenaltyAh,
+			kw: kw, minJ: dst.minJ,
+			cost: nxtCost[:band], exact: nxtExact[:band],
+			from: sl.from[lo:hi], cross: sl.cross[lo:hi],
+		}
+		for e := range rt.entries[s] {
+			et := &rt.entries[s][e]
+			n := len(et.exitJ)
+			if n == 0 {
+				continue
+			}
+			col := (et.entryJ - src.minJ) * kw
 			for k := 0; k < kw; k++ {
-				c0 := srcCost[k]
+				c0 := curCost[col+k]
 				if c0 >= inf {
 					continue
 				}
-				elapsed := srcExact[k]
-				for ci := range et.crossings {
-					cr := &et.crossings[ci]
-					total := elapsed + cr.durSec
-					if total > cfg.MaxTripSec {
-						continue
-					}
-					k2 := int(math.Round(total / cfg.DtSec))
-					if k2 > rt.grid.kMax {
-						k2 = rt.grid.kMax
-					}
-					penal := 0.0
-					if hasWin && !inAnyWindow(ws, cfg.DepartTime+total) {
-						penal = cfg.PenaltyAh
-					}
-					expanded++
-					nc := c0 + cr.costAh + penal
-					idx := cr.exitJ*kw + k2
-					if nc < nxtCost[idx] {
-						nxtCost[idx] = nc
-						nxtExact[idx] = total
-						nxtBack[idx] = stitchBack{prevJ: int32(et.entryJ), prevK: int32(k), cr: cr}
-					}
-				}
+				relaxEval(lanes.cand[:n], lanes.tot[:n], lanes.k2f[:n], lanes.mask[:(n+3)>>2],
+					et.costAh, et.durSec, c0, 0, curExact[col+k], cfg.MaxTripSec, invDt, kMaxF, useAsm)
+				expanded += step.commit(et, lanes, n, int32(e)<<16|int32(k))
 			}
 		}
+		curCost, nxtCost = nxtCost, curCost
+		curExact, nxtExact = nxtExact, curExact
 	}
 
 	// Destination boundary: the final segment ends at the forced-zero
-	// destination stage, so only velocity column 0 is populated.
+	// destination stage, whose band is velocity 0 alone.
 	bestK, bestCost := -1, inf
 	for k := 0; k < kw; k++ {
-		if c := cost[m][k]; c < bestCost {
+		if c := curCost[k]; c < bestCost {
 			bestCost, bestK = c, k
 		}
 	}
@@ -367,15 +527,18 @@ func (rt *RouteTables) StitchCtx(ctx context.Context, cfg Config) (*Result, erro
 	js := make([]int, rt.grid.n+1)
 	jj, kk := 0, bestK
 	for s := m; s > 0; s-- {
-		sb := back[s][jj*kw+kk]
-		if sb.cr == nil {
+		st := rt.stages[rt.boundary(s)]
+		cell := rt.backOff[s] + (jj-st.minJ)*kw + kk
+		from := sl.from[cell]
+		if from < 0 {
 			return nil, fmt.Errorf("dp: broken stitch backpointer at boundary %d", s)
 		}
-		a := rt.specs[s-1].StartStage
-		for i, v := range sb.cr.path {
-			js[a+i] = int(v)
+		spec := rt.specs[s-1]
+		et := &rt.entries[s-1][from>>16]
+		for i, v := range et.path(int(sl.cross[cell]), spec.EndStage-spec.StartStage+1) {
+			js[spec.StartStage+i] = int(v)
 		}
-		jj, kk = int(sb.prevJ), int(sb.prevK)
+		jj, kk = et.entryJ, int(from&0xffff)
 	}
 	return assemble(cfg, rt.stages, js, rt.grid.ds, windows, bestCost, expanded)
 }

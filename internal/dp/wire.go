@@ -34,13 +34,13 @@ type TablesWire struct {
 	SegmentSolves int
 }
 
-// EntryWire mirrors entryTable.
+// EntryWire is the wire form of one entry table.
 type EntryWire struct {
 	EntryJ    int
 	Crossings []CrossingWire
 }
 
-// CrossingWire mirrors crossing.
+// CrossingWire is the wire form of one crossing of an entry table.
 type CrossingWire struct {
 	ExitJ  int
 	DurSec float64
@@ -49,7 +49,8 @@ type CrossingWire struct {
 }
 
 // Export converts the tables to their wire form. The crossing paths are
-// copied, so the wire value stays valid however long the caller holds it.
+// copied (one copy per entry table, sub-sliced per crossing), so the wire
+// value stays valid however long the caller holds it.
 func (rt *RouteTables) Export() *TablesWire {
 	w := &TablesWire{
 		Fingerprint:   fingerprintTables(&rt.cfg, rt.grid, rt.stages),
@@ -58,13 +59,17 @@ func (rt *RouteTables) Export() *TablesWire {
 	}
 	w.Entries = make([][]EntryWire, len(rt.entries))
 	for s, ets := range rt.entries {
+		stride := rt.specs[s].EndStage - rt.specs[s].StartStage + 1
 		w.Entries[s] = make([]EntryWire, len(ets))
-		for e, et := range ets {
-			ew := EntryWire{EntryJ: et.entryJ, Crossings: make([]CrossingWire, len(et.crossings))}
-			for c, cr := range et.crossings {
-				path := make([]uint16, len(cr.path))
-				copy(path, cr.path)
-				ew.Crossings[c] = CrossingWire{ExitJ: cr.exitJ, DurSec: cr.durSec, CostAh: cr.costAh, Path: path}
+		for e := range ets {
+			et := &ets[e]
+			paths := append([]uint16(nil), et.paths...)
+			ew := EntryWire{EntryJ: et.entryJ, Crossings: make([]CrossingWire, len(et.exitJ))}
+			for c := range ew.Crossings {
+				ew.Crossings[c] = CrossingWire{
+					ExitJ: int(et.exitJ[c]), DurSec: et.durSec[c], CostAh: et.costAh[c],
+					Path: paths[c*stride : (c+1)*stride : (c+1)*stride],
+				}
 			}
 			w.Entries[s][e] = ew
 		}
@@ -124,7 +129,21 @@ func ImportRouteTables(cfg Config, w *TablesWire) (*RouteTables, error) {
 					s, ew.EntryJ, stages[a].minJ, stages[a].maxJ)
 			}
 			prevJ = ew.EntryJ
-			et := entryTable{entryJ: ew.EntryJ, crossings: make([]crossing, len(ew.Crossings))}
+			// The entry's flat arrays are sized from the payload, so bound
+			// the count before allocating: a sweep yields at most one
+			// crossing per exit-band cell.
+			if limit := (stages[b].maxJ - stages[b].minJ + 1) * (g.kMax + 1); len(ew.Crossings) > limit {
+				return nil, fmt.Errorf("dp: imported segment %d entry %d carries %d crossings, its exit band holds %d",
+					s, ew.EntryJ, len(ew.Crossings), limit)
+			}
+			n, stride := len(ew.Crossings), b-a+1
+			et := entryTable{
+				entryJ: ew.EntryJ,
+				exitJ:  make([]int32, n),
+				durSec: make([]float64, n),
+				costAh: make([]float64, n),
+				paths:  make([]uint16, n*stride),
+			}
 			for c, cw := range ew.Crossings {
 				if cw.ExitJ < stages[b].minJ || cw.ExitJ > stages[b].maxJ {
 					return nil, fmt.Errorf("dp: imported crossing exits at velocity %d outside band [%d,%d]",
@@ -137,15 +156,15 @@ func ImportRouteTables(cfg Config, w *TablesWire) (*RouteTables, error) {
 					return nil, fmt.Errorf("dp: imported crossing has non-finite duration/cost (%g s, %g Ah)",
 						cw.DurSec, cw.CostAh)
 				}
-				path := make([]uint16, len(cw.Path))
-				copy(path, cw.Path)
-				et.crossings[c] = crossing{exitJ: cw.ExitJ, durSec: cw.DurSec, costAh: cw.CostAh, path: path}
+				et.exitJ[c], et.durSec[c], et.costAh[c] = int32(cw.ExitJ), cw.DurSec, cw.CostAh
+				copy(et.path(c, stride), cw.Path)
 			}
 			ets = append(ets, et)
 		}
 		rt.specs = append(rt.specs, spec)
 		rt.entries = append(rt.entries, ets)
 	}
+	rt.index()
 	return rt, nil
 }
 

@@ -114,6 +114,16 @@ func TestWireImportRejectsCorruption(t *testing.T) {
 		cr := &w.Entries[0][0].Crossings[0]
 		cr.Path[len(cr.Path)-1]++
 	})
+	// Valid crossings repeated past what the exit band can hold: only the
+	// count bound can refuse this payload, before the flat arrays are sized.
+	exit := rt.stages[rt.specs[0].EndStage]
+	limit := (exit.maxJ - exit.minJ + 1) * (rt.grid.kMax + 1)
+	corrupt("crossing count beyond exit band", func(w *TablesWire) {
+		ew := &w.Entries[0][0]
+		for len(ew.Crossings) <= limit {
+			ew.Crossings = append(ew.Crossings, ew.Crossings[0])
+		}
+	})
 	corrupt("shifted spec stages", func(w *TablesWire) { w.Specs[0].EndStage++ })
 	if _, err := ImportRouteTables(cfg, nil); err == nil {
 		t.Fatal("nil wire accepted")
