@@ -53,8 +53,10 @@ bench-fleet:
 	$(GO) run ./cmd/evload -requests 96 -vehicles 12 -nodes 3 -out BENCH_fleet.json
 
 # DP solver bench: time the Fig-6 queue-aware solve across the serving
-# modes (scalar, AVX2 kernels, coarse-to-fine fast path, DESIGN.md §12)
-# and emit the BENCH_dp.json artifact with speedups and parity evidence.
+# modes (scalar, AVX2 kernels, the coarse-grid ladder rung's
+# dp.OptimizeCoarseCtx at factor 3 and corridor 2·3·Δv, and a warm
+# segment-table stitch; DESIGN.md §12) and emit the BENCH_dp.json artifact
+# with speedups and parity evidence.
 bench-dp:
 	$(GO) run ./cmd/evbench -out BENCH_dp.json dp
 

@@ -1,6 +1,7 @@
 package evvo_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -124,9 +125,9 @@ func BenchmarkFig6QueueAwareDPScalar(b *testing.B) {
 }
 
 // BenchmarkFig6QueueAwareDPCoarseRefine times the coarse-to-fine fast path
-// (factor 3, corridor Factor·Δv = 3 m/s — one quantization error wide) on
-// the queue-aware problem; the reported planned-mAh shows any deviation
-// from the exact solve's 1020.
+// at factor 3 — the factor of cloudd's coarse-grid ladder rung, with its
+// corridor 2·3·Δv = 6 m/s — on the queue-aware problem; the reported
+// planned-mAh shows any deviation from the exact solve's 1020.
 func BenchmarkFig6QueueAwareDPCoarseRefine(b *testing.B) {
 	wf, err := dp.QueueAwareWindows(queue.US25Params(),
 		dp.ConstantArrivalRate(queue.VehPerHour(153)), 40, 840)
@@ -138,9 +139,9 @@ func BenchmarkFig6QueueAwareDPCoarseRefine(b *testing.B) {
 		cfg := dp.Config{
 			Route: road.US25(), Vehicle: ev.SparkEV(), DepartTime: 40,
 			DsM: 100, DvMS: 1, DtSec: 2, StopDwellSec: 2,
-			Windows: wf, CoarseRefine: dp.CoarseRefine{Factor: 3, CorridorMS: 3},
+			Windows: wf,
 		}
-		res, err := dp.Optimize(cfg)
+		res, err := dp.OptimizeCoarseCtx(context.Background(), cfg, 3)
 		if err != nil {
 			b.Fatal(err)
 		}

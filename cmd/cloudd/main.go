@@ -49,7 +49,7 @@ func main() {
 		maxInflight = flag.Int("max-inflight", 0, "max concurrently computing requests (0 = 2×GOMAXPROCS, <0 disables admission control)")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget for in-flight requests")
 		segTables   = flag.Bool("segment-tables", true, "serve from shared per-segment DP tables (DESIGN.md §11) instead of per-request full solves")
-		coarseRung  = flag.Int("coarse-ladder", 3, "degradation-ladder coarse-grid rung: velocity-grid factor for the approximate re-solve when the exact DP blows its budget (0 disables, DESIGN.md §12)")
+		coarseRung  = flag.Int("coarse-ladder", 3, "coarse-grid ladder rung: when the exact solve blows its budget, re-solve coarse-to-fine at this velocity-grid factor, corridor ±2·factor·Δv, without segment tables (0 disables, DESIGN.md §12)")
 		nodeID      = flag.String("node-id", "", "cluster node ID (empty = standalone)")
 		peers       = flag.String("peers", "", `cluster peers as "id=http://host:port,id=url,..." (requires -node-id)`)
 		replicas    = flag.Int("replicas", 0, "table replica count per route key, owner included (0 = default 2, capped at membership)")

@@ -34,6 +34,11 @@ const dpDocumentedSeedMs = 2.3
 // dp package's property tests pin it; this guards the benchmark artifact).
 const dpCoarseEpsAh = 1e-3
 
+// dpCoarseFactor is the velocity-grid factor of the coarse-refine mode:
+// cloudd's coarse-grid ladder rung runs at it by default, so the mode
+// times the solve that rung runs (corridor 2·3·Δv = 6 m/s on this grid).
+const dpCoarseFactor = 3
+
 // dpStitchTolAh bounds the warm stitch's charge gap to the exact solve: the
 // two bucket elapsed time differently inside segments (DESIGN.md §11), the
 // same tolerance TestStitchMatchesMonolithicFig6 pins.
@@ -140,9 +145,10 @@ func dpBench(fid experiments.Fidelity) (*dpBenchReport, error) {
 		return nil, fmt.Errorf("kernel/scalar parity broken: %v Ah vs %v Ah", kRes.ChargeAh, sRes.ChargeAh)
 	}
 
-	ccfg := cfg
-	ccfg.CoarseRefine = dp.CoarseRefine{Factor: 3, CorridorMS: 3}
-	cMin, cMed, cRes, err := dpTimeMode(optimizeFn(ccfg), iters)
+	ctx := context.Background()
+	cMin, cMed, cRes, err := dpTimeMode(func() (*dp.Result, error) {
+		return dp.OptimizeCoarseCtx(ctx, cfg, dpCoarseFactor)
+	}, iters)
 	if err != nil {
 		return nil, fmt.Errorf("coarse-refine mode: %w", err)
 	}
@@ -156,7 +162,6 @@ func dpBench(fid experiments.Fidelity) (*dpBenchReport, error) {
 
 	// Warm stitch: the tables are built once, outside the timer, exactly
 	// as a serving node holds them; only StitchCtx is timed.
-	ctx := context.Background()
 	rt, err := dp.BuildRouteTables(ctx, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("stitch-warm tables: %w", err)

@@ -119,6 +119,15 @@ type nodeReport struct {
 	Server    cloud.Stats `json:"server"`
 }
 
+// serverStats is the report's serving-side view. Its LatencyMs shadows the
+// embedded one: a single server's histogram is reported as is, but
+// histograms do not sum across cluster members, so a multi-node run leaves
+// it nil and omits it — each member's latency is under Nodes.
+type serverStats struct {
+	cloud.Stats
+	LatencyMs *cloud.LatencyStats `json:"latencyMs,omitempty"`
+}
+
 // report is the BENCH_fleet.json payload.
 type report struct {
 	Config    loadConfig `json:"config"`
@@ -128,9 +137,10 @@ type report struct {
 	LatencyMs quantiles  `json:"latencyMs"`
 	// Server holds the serving-side stats. In multi-node mode the
 	// volume counters (requests, shed, degraded, solves, stitches, batch
-	// items) are summed across the cluster; per-node breakdowns including
-	// the cluster counters are in Nodes.
-	Server cloud.Stats `json:"server"`
+	// items) are summed across the cluster and there is no server latency;
+	// per-node breakdowns including latency and the cluster counters are
+	// in Nodes.
+	Server serverStats `json:"server"`
 	// Nodes reports each cluster member separately (multi-node runs only).
 	Nodes []nodeReport `json:"nodes,omitempty"`
 	// ReuseFactor is requests per DP solve (full + segment): the fleet
@@ -266,7 +276,7 @@ func run(ctx context.Context, cfg loadConfig) (*report, error) {
 			return nil, err
 		}
 		if len(clients) == 1 {
-			rep.Server = stats
+			rep.Server = serverStats{Stats: stats, LatencyMs: &stats.LatencyMs}
 			break
 		}
 		nodeID := fmt.Sprintf("node-%d", i+1)

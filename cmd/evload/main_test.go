@@ -120,6 +120,61 @@ func TestClusterMode(t *testing.T) {
 	}
 }
 
+// TestClusterReportServerLatency: server-side latency histograms do not sum
+// across members, so a multi-node report carries no summary server
+// latency (it used to emit an empty count-0 block) — each member's is
+// under nodes[] — while a single-node report keeps its server's.
+func TestClusterReportServerLatency(t *testing.T) {
+	serverLatency := func(cfg loadConfig) (summary map[string]any, nodes []any) {
+		t.Helper()
+		rep, err := run(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Server map[string]any `json:"server"`
+			Nodes  []struct {
+				Server map[string]any `json:"server"`
+			} `json:"nodes"`
+		}
+		if err := json.Unmarshal(body, &doc); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range doc.Nodes {
+			nodes = append(nodes, n.Server["latencyMs"])
+		}
+		lat, _ := doc.Server["latencyMs"].(map[string]any)
+		return lat, nodes
+	}
+
+	cfg := smokeConfig()
+	cfg.Nodes = 2
+	cfg.Batch = 0
+	cfg.Requests = 16
+	summary, nodes := serverLatency(cfg)
+	if summary != nil {
+		t.Fatalf("multi-node report emits a summary server latency %v", summary)
+	}
+	if len(nodes) != 2 {
+		t.Fatalf("report covers %d nodes, want 2", len(nodes))
+	}
+	for i, lat := range nodes {
+		if m, _ := lat.(map[string]any); m == nil || m["count"].(float64) <= 0 {
+			t.Fatalf("node %d server latency %v, want a populated histogram", i, lat)
+		}
+	}
+
+	single := smokeConfig()
+	single.Requests, single.Batch = 8, 0
+	if summary, _ := serverLatency(single); summary == nil || summary["count"].(float64) != 8 {
+		t.Fatalf("single-node server latency %v, want count 8", summary)
+	}
+}
+
 // TestClusterModeRejectsExternalAddr: -nodes only applies to the
 // in-process server.
 func TestClusterModeRejectsExternalAddr(t *testing.T) {

@@ -4,8 +4,7 @@
 // Usage:
 //
 //	evopt [-variant queue-aware|green|unconstrained] [-depart s]
-//	      [-rate veh/h] [-ds m] [-dv m/s] [-dt s]
-//	      [-coarse factor] [-corridor m/s] [-csv]
+//	      [-rate veh/h] [-ds m] [-dv m/s] [-dt s] [-csv]
 package main
 
 import (
@@ -23,15 +22,13 @@ import (
 // options collects the command's knobs; flag parsing fills one in main and
 // tests construct them directly.
 type options struct {
-	variant    string
-	depart     float64
-	rate       float64
-	dsM        float64
-	dvMS       float64
-	dtSec      float64
-	coarse     int
-	corridorMS float64
-	csv        bool
+	variant string
+	depart  float64
+	rate    float64
+	dsM     float64
+	dvMS    float64
+	dtSec   float64
+	csv     bool
 }
 
 func main() {
@@ -42,8 +39,6 @@ func main() {
 	flag.Float64Var(&o.dsM, "ds", 50, "position grid Δs in metres")
 	flag.Float64Var(&o.dvMS, "dv", 0.5, "velocity grid Δv in m/s")
 	flag.Float64Var(&o.dtSec, "dt", 1, "time grid Δt in seconds")
-	flag.IntVar(&o.coarse, "coarse", 0, "coarse-to-fine fast path: velocity-grid coarsening factor (0 = exact DP, 2-4 useful)")
-	flag.Float64Var(&o.corridorMS, "corridor", 0, "fast-path corridor half-width in m/s (0 = default 2·factor·Δv; needs -coarse)")
 	flag.BoolVar(&o.csv, "csv", false, "emit the profile as CSV (t,pos,v) instead of a table")
 	flag.Parse()
 	if err := run(o); err != nil {
@@ -57,10 +52,6 @@ func run(o options) error {
 	cfg := dp.Config{
 		Route: route, Vehicle: ev.SparkEV(), DepartTime: o.depart,
 		DsM: o.dsM, DvMS: o.dvMS, DtSec: o.dtSec, StopDwellSec: 2,
-		CoarseRefine: dp.CoarseRefine{Factor: o.coarse, CorridorMS: o.corridorMS},
-	}
-	if o.corridorMS != 0 && o.coarse == 0 {
-		return fmt.Errorf("-corridor %.2f needs -coarse (the corridor brackets the coarse pass)", o.corridorMS)
 	}
 	horizon := o.depart + 800
 	switch o.variant {
@@ -93,14 +84,6 @@ func run(o options) error {
 		units.MToKm(route.LengthM()), o.variant, o.depart)
 	fmt.Printf("energy: %.1f mAh   trip: %.1f s   penalized: %v\n",
 		units.AhToMAh(res.ChargeAh), res.TripSec, res.Penalized)
-	if d := res.Refined; d != nil {
-		mode := fmt.Sprintf("coarse-to-fine ×%d, corridor ±%.2f m/s (coarse pass %.1f mAh, %d states)",
-			d.Factor, d.CorridorMS, units.AhToMAh(d.CoarseChargeAh), d.CoarseStatesExpanded)
-		if d.FellBack {
-			mode = fmt.Sprintf("coarse-to-fine ×%d fell back to the exact DP", d.Factor)
-		}
-		fmt.Println("solver:", mode)
-	}
 	for _, a := range res.Arrivals {
 		status := "in window"
 		if !a.InWindow {

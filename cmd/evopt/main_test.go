@@ -28,26 +28,6 @@ func TestRunCSV(t *testing.T) {
 	}
 }
 
-func TestRunCoarseRefine(t *testing.T) {
-	o := coarseOpts("queue-aware")
-	o.coarse = 3
-	if err := run(o); err != nil {
-		t.Fatal(err)
-	}
-	o.corridorMS = 3
-	if err := run(o); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunCorridorWithoutCoarse(t *testing.T) {
-	o := coarseOpts("queue-aware")
-	o.corridorMS = 2
-	if err := run(o); err == nil {
-		t.Fatal("-corridor without -coarse accepted")
-	}
-}
-
 func TestRunUnknownVariant(t *testing.T) {
 	if err := run(coarseOpts("teleport")); err == nil {
 		t.Fatal("unknown variant accepted")

@@ -135,11 +135,6 @@ type Response struct {
 	// methods — just less efficient.
 	Degraded       bool   `json:"degraded,omitempty"`
 	DegradedReason string `json:"degradedReason,omitempty"`
-	// Refined is true when the plan came from the coarse-to-fine
-	// approximate-DP fast path (the coarse-grid ladder rung, or a
-	// DPTemplate with CoarseRefine configured on a server without
-	// SegmentTables) rather than the exact DP.
-	Refined bool `json:"refined,omitempty"`
 	// ServedBy names the cluster node that computed this response (empty
 	// on standalone servers). On a forwarded request it names the owner
 	// that answered, not the node the client dialed — which is how tests
@@ -233,8 +228,8 @@ type ServerConfig struct {
 	DegradeBudgetFrac float64
 	// CoarseLadderFactor, when ≥ 2, adds a rung to the degradation ladder
 	// between the exact solve and the green fallback: the requested variant
-	// re-solved through the coarse-to-fine fast path (dp.CoarseRefine) at
-	// this velocity-grid factor. The rung costs roughly 1/Factor² of the
+	// re-solved through the coarse-to-fine fast path (dp.OptimizeCoarseCtx)
+	// at this velocity-grid factor. The rung costs roughly 1/Factor² of the
 	// exact solve and stays within the documented ε of its cost, so it is
 	// tried before abandoning the queue-aware windows altogether. 0
 	// disables the rung; 1 and negatives are config errors.
@@ -275,14 +270,14 @@ type Server struct {
 	routes   map[string]*road.Route
 	cache    map[string]*Response
 	order    []string // FIFO eviction order
-	inflight map[string]*inflightCall
+	inflight flight[string, *Response]
 
 	// segTables holds completed segment-table builds per route name;
 	// tableBuilds coalesces concurrent builds the way inflight coalesces
 	// solves. Tables key on the registered *road.Route identity, so a
 	// route's tables never go stale: routes are immutable once registered.
 	segTables   map[string]*dp.RouteTables
-	tableBuilds map[string]*tableCall
+	tableBuilds flight[string, *dp.RouteTables]
 
 	sem    chan struct{} // admission slots; nil = admission disabled
 	queued atomic.Int64  // requests waiting for a slot
@@ -299,28 +294,6 @@ type Server struct {
 	stitchedServes, batchItems     metrics.Counter
 	degraded                       metrics.LabeledCounter
 	latency                        *metrics.Histogram
-}
-
-// inflightCall coalesces concurrent optimize requests for one cache key:
-// the first arrival (the leader) runs the DP, later arrivals wait on done
-// and share the result. A leader that dies of its *own* context's
-// cancellation publishes that context error; followers with live contexts
-// do not inherit it — they loop back and elect a new leader (see
-// handleOptimize), so one impatient client cannot fail a coalesced herd.
-type inflightCall struct {
-	done chan struct{}
-	resp *Response
-	err  error
-}
-
-// tableCall coalesces concurrent segment-table builds for one route, with
-// the same leader re-election discipline as inflightCall: a leader that
-// dies of its own context's cancellation does not poison followers whose
-// contexts are still live.
-type tableCall struct {
-	done chan struct{}
-	rt   *dp.RouteTables
-	err  error
 }
 
 // optimizeDP indirects dp.OptimizeCtx so tests can count, stub or stall
@@ -388,9 +361,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		// negatives are meaningless; both hide a misconfiguration.
 		return nil, fmt.Errorf("cloud: coarse ladder factor %d must be 0 (off) or ≥ 2", cfg.CoarseLadderFactor)
 	}
-	if cfg.SegmentTables && cfg.DPTemplate.CoarseRefine.Factor != 0 {
-		return nil, fmt.Errorf("cloud: SegmentTables requires an exact DPTemplate — segment tables are exact; CoarseRefine applies to OptimizeCtx only")
-	}
 	if cfg.MaxInFlight == 0 {
 		cfg.MaxInFlight = 2 * runtime.GOMAXPROCS(0)
 	}
@@ -413,13 +383,25 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg.MaxBodyBytes = 1 << 20
 	}
 	s := &Server{
-		cfg:         cfg,
-		routes:      map[string]*road.Route{"us25": road.US25()},
-		cache:       make(map[string]*Response),
-		inflight:    make(map[string]*inflightCall),
-		segTables:   make(map[string]*dp.RouteTables),
-		tableBuilds: make(map[string]*tableCall),
-		latency:     metrics.NewLatencyHistogram(),
+		cfg:       cfg,
+		routes:    map[string]*road.Route{"us25": road.US25()},
+		cache:     make(map[string]*Response),
+		segTables: make(map[string]*dp.RouteTables),
+		latency:   metrics.NewLatencyHistogram(),
+	}
+	s.inflight = flight[string, *Response]{mu: &s.mu,
+		hit: func(key string) (*Response, bool) {
+			resp, ok := s.cache[key]
+			return resp, ok
+		},
+		publish: s.cacheStore,
+	}
+	s.tableBuilds = flight[string, *dp.RouteTables]{mu: &s.mu,
+		hit: func(name string) (*dp.RouteTables, bool) {
+			rt, ok := s.segTables[name]
+			return rt, ok
+		},
+		publish: func(name string, rt *dp.RouteTables) { s.segTables[name] = rt },
 	}
 	if cfg.MaxInFlight > 0 {
 		s.sem = make(chan struct{}, cfg.MaxInFlight)
@@ -779,64 +761,33 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // optimize, advise sweeps and batch items — goes through here, so they all
 // warm and hit the same cache.
 func (s *Server) optimizeCached(ctx context.Context, route *road.Route, req Request) (*Response, error) {
-	key := s.cacheKey(req)
-	for {
-		s.mu.Lock()
-		if resp, ok := s.cache[key]; ok {
-			s.cacheHits.Inc()
-			s.mu.Unlock()
-			cached := *resp
-			cached.Cached = true
-			return &cached, nil
-		}
-		if c, ok := s.inflight[key]; ok {
-			// A twin request is already computing this key; wait for it
-			// instead of running the DP again — but never past our own
-			// context.
-			s.mu.Unlock()
-			select {
-			case <-c.done:
-			case <-ctx.Done():
-				return nil, fmt.Errorf("request abandoned while coalesced: %w", ctx.Err())
-			}
-			if c.err != nil {
-				if isCtxErr(c.err) && ctx.Err() == nil {
-					// The leader died of its own cancellation, not ours:
-					// its deadline was tighter, or its client hung up.
-					// Our context is live, so loop back and elect a new
-					// leader (possibly us) rather than inherit the error.
-					continue
-				}
-				return nil, c.err
-			}
-			s.cacheHits.Inc()
-			cached := *c.resp
-			cached.Cached = true
-			return &cached, nil
-		}
-		c := &inflightCall{done: make(chan struct{})}
-		s.inflight[key] = c
-		s.mu.Unlock()
-
-		resp, err := s.optimize(ctx, route, req)
-		c.resp, c.err = resp, err
-		s.mu.Lock()
-		delete(s.inflight, key)
-		// Degraded responses are not cached: the condition that forced the
-		// degradation is transient, and a cached degraded plan would keep
-		// serving the inferior baseline after the optimizer recovered.
-		if err == nil && !resp.Degraded {
-			if len(s.cache) >= s.cfg.MaxCacheEntries && len(s.order) > 0 {
-				delete(s.cache, s.order[0])
-				s.order = s.order[1:]
-			}
-			s.cache[key] = resp
-			s.order = append(s.order, key)
-		}
-		s.mu.Unlock()
-		close(c.done)
+	resp, fresh, err := s.inflight.do(ctx, s.cacheKey(req), func() (*Response, error) {
+		return s.optimize(ctx, route, req)
+	})
+	if err != nil || fresh {
 		return resp, err
 	}
+	s.cacheHits.Inc()
+	cached := *resp
+	cached.Cached = true
+	return &cached, nil
+}
+
+// cacheStore caches a freshly computed response, evicting FIFO at
+// MaxCacheEntries; the caller holds s.mu. Degraded responses are not
+// cached: the condition that forced the degradation is transient, and a
+// cached degraded plan would keep serving the inferior baseline after the
+// optimizer recovered.
+func (s *Server) cacheStore(key string, resp *Response) {
+	if resp.Degraded {
+		return
+	}
+	if len(s.cache) >= s.cfg.MaxCacheEntries && len(s.order) > 0 {
+		delete(s.cache, s.order[0])
+		s.order = s.order[1:]
+	}
+	s.cache[key] = resp
+	s.order = append(s.order, key)
 }
 
 // optimizeError maps an optimize failure to a response: context errors are
@@ -1002,10 +953,8 @@ func (s *Server) arrivalRate(req Request, degraded *bool) func(road.Control) flo
 
 // runVariant executes one optimizer variant under ctx, applying the
 // fault-injection seam and the predictor fallback. With coarse set it runs
-// the coarse-grid ladder rung: the template's CoarseRefine is overridden
-// with CoarseLadderFactor and the solve bypasses the segment-table path,
-// because segment tables are exact-only (dp.BuildRouteTables rejects a
-// CoarseRefine config).
+// the coarse-grid ladder rung: dp.OptimizeCoarseCtx at CoarseLadderFactor,
+// bypassing the segment tables, which hold exact solves only.
 func (s *Server) runVariant(ctx context.Context, route *road.Route, req Request, variant Variant, coarse bool) (*Response, error) {
 	if f := s.cfg.Faults.OptimizeDelay; f != nil {
 		if !sleepCtx(f(variant), ctx.Done()) {
@@ -1016,9 +965,6 @@ func (s *Server) runVariant(ctx context.Context, route *road.Route, req Request,
 	cfg.Route = route
 	cfg.Vehicle = s.cfg.Vehicle
 	cfg.DepartTime = req.DepartTime
-	if coarse {
-		cfg.CoarseRefine = dp.CoarseRefine{Factor: s.cfg.CoarseLadderFactor}
-	}
 	if cfg.MaxTripSec == 0 {
 		cfg.MaxTripSec = 600
 	}
@@ -1043,7 +989,7 @@ func (s *Server) runVariant(ctx context.Context, route *road.Route, req Request,
 	var err error
 	if coarse {
 		s.dpFullSolves.Inc()
-		res, err = optimizeDP(ctx, cfg)
+		res, err = dp.OptimizeCoarseCtx(ctx, cfg, s.cfg.CoarseLadderFactor)
 	} else {
 		res, err = s.solve(ctx, req.Route, cfg)
 	}
@@ -1054,7 +1000,6 @@ func (s *Server) runVariant(ctx context.Context, route *road.Route, req Request,
 		ChargeAh:  res.ChargeAh,
 		TripSec:   res.TripSec,
 		Penalized: res.Penalized,
-		Refined:   res.Refined != nil,
 	}
 	for _, p := range res.Profile.Points() {
 		out.Profile = append(out.Profile, PointJSON{T: p.T, Pos: p.Pos, V: p.V})
@@ -1107,42 +1052,10 @@ func (s *Server) solve(ctx context.Context, routeName string, cfg dp.Config) (*d
 // the server's lifetime; they key on the registered route instance, which
 // is immutable, so there is nothing to invalidate.
 func (s *Server) routeTables(ctx context.Context, name string, cfg dp.Config) (*dp.RouteTables, error) {
-	for {
-		s.mu.Lock()
-		if rt, ok := s.segTables[name]; ok {
-			s.mu.Unlock()
-			return rt, nil
-		}
-		if c, ok := s.tableBuilds[name]; ok {
-			s.mu.Unlock()
-			select {
-			case <-c.done:
-			case <-ctx.Done():
-				return nil, fmt.Errorf("table build abandoned while coalesced: %w", ctx.Err())
-			}
-			if c.err != nil {
-				if isCtxErr(c.err) && ctx.Err() == nil {
-					continue // leader died of its own cancellation; re-elect
-				}
-				return nil, c.err
-			}
-			return c.rt, nil
-		}
-		c := &tableCall{done: make(chan struct{})}
-		s.tableBuilds[name] = c
-		s.mu.Unlock()
-
-		rt, err := s.acquireTables(ctx, name, cfg)
-		c.rt, c.err = rt, err
-		s.mu.Lock()
-		delete(s.tableBuilds, name)
-		if err == nil {
-			s.segTables[name] = rt
-		}
-		s.mu.Unlock()
-		close(c.done)
-		return rt, err
-	}
+	rt, _, err := s.tableBuilds.do(ctx, name, func() (*dp.RouteTables, error) {
+		return s.acquireTables(ctx, name, cfg)
+	})
+	return rt, err
 }
 
 func (s *Server) fail(w http.ResponseWriter, code int, msg string) {
@@ -1205,8 +1118,15 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	if req.StepSec == 0 {
 		req.StepSec = 10
 	}
-	if req.Variant == "" {
-		req.Variant = VariantQueueAware
+	// Every candidate is one optimize request at its own departure, so the
+	// shared normaliser vets variant, earliest departure and arrival rate.
+	one := Request{
+		Route: req.Route, DepartTime: req.EarliestDepart, Variant: req.Variant,
+		ArrivalRateVehPerHour: req.ArrivalRateVehPerHour,
+	}
+	if code, msg := normalizeOptimize(&one); code != 0 {
+		s.fail(w, code, msg)
+		return
 	}
 	// Candidate count by index, not by float span: a window spanning exactly
 	// k steps holds k+1 candidates, and the limit bounds the candidates.
@@ -1218,25 +1138,14 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	case req.StepSec <= 0:
 		s.fail(w, http.StatusBadRequest, "stepSec must be positive")
 		return
-	case req.EarliestDepart < 0 || req.LatestDepart < req.EarliestDepart:
+	case req.LatestDepart < req.EarliestDepart:
 		s.fail(w, http.StatusBadRequest, "departure window invalid")
 		return
 	case count > maxAdviseCandidates:
 		s.fail(w, http.StatusBadRequest, fmt.Sprintf("window spans more than %d candidates; widen stepSec", maxAdviseCandidates))
 		return
-	case req.ArrivalRateVehPerHour < 0:
-		s.fail(w, http.StatusBadRequest, "arrivalRateVehPerHour must be non-negative")
-		return
 	}
-	switch req.Variant {
-	case VariantQueueAware, VariantGreen, VariantUnconstrained:
-	default:
-		s.fail(w, http.StatusBadRequest, fmt.Sprintf("unknown variant %q", req.Variant))
-		return
-	}
-	s.mu.Lock()
-	route, ok := s.routes[req.Route]
-	s.mu.Unlock()
+	route, ok := s.lookupRoute(req.Route)
 	if !ok {
 		s.fail(w, http.StatusNotFound, fmt.Sprintf("unknown route %q", req.Route))
 		return
@@ -1250,10 +1159,8 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		// on-grid over long windows where `depart += step` drifts (the same
 		// float-accumulation class dp.SweepDepartures was cured of).
 		depart := req.EarliestDepart + float64(i)*req.StepSec
-		one, err := s.optimizeCached(ctx, route, Request{
-			Route: req.Route, DepartTime: depart, Variant: req.Variant,
-			ArrivalRateVehPerHour: req.ArrivalRateVehPerHour,
-		})
+		one.DepartTime = depart
+		got, err := s.optimizeCached(ctx, route, one)
 		if err != nil {
 			if isCtxErr(err) {
 				s.failRetryable(w, fmt.Sprintf("advise sweep ran out of time at depart %.0f s: %v", depart, err))
@@ -1262,12 +1169,12 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, http.StatusUnprocessableEntity, fmt.Sprintf("depart %.0f s: %v", depart, err))
 			return
 		}
-		if one.Degraded {
+		if got.Degraded {
 			resp.Degraded = true
 		}
 		opt := AdviseOption{
-			DepartTime: depart, ChargeAh: one.ChargeAh,
-			TripSec: one.TripSec, Penalized: one.Penalized,
+			DepartTime: depart, ChargeAh: got.ChargeAh,
+			TripSec: got.TripSec, Penalized: got.Penalized,
 		}
 		resp.Options = append(resp.Options, opt)
 		better := bestIdx < 0 ||

@@ -93,25 +93,12 @@ type Config struct {
 	// Windows supplies arrival windows per signal; nil ignores signals.
 	Windows WindowsFunc
 
-	// CoarseRefine, when Factor ≥ 2, enables the coarse-to-fine
-	// approximate-DP fast path (refine.go): solve on a velocity grid
-	// coarsened by Factor, then re-solve the exact grid restricted to a
-	// corridor around the coarse winner. Results carry a Refined
-	// diagnostic; the error contract is documented in DESIGN.md §12.
-	// OptimizeCtx only: BuildRouteTables rejects it, as tables are exact.
-	CoarseRefine CoarseRefine
-
 	// Workers bounds the goroutines used for the per-stage relaxation.
 	// 0 uses runtime.GOMAXPROCS(0); 1 forces a serial pass. Any worker
 	// count produces bit-identical results (see parallel.go), so this is
 	// purely a throughput knob.
 	Workers int
 }
-
-// DefaultDvMS is the default velocity discretization Δv in m/s, exported so
-// callers deriving coarsened grids from a zero-valued Config (the cloud's
-// degradation ladder) scale from the same base.
-const DefaultDvMS = 0.5
 
 func (c *Config) applyDefaults() {
 	if c.MaxTripSec == 0 {
@@ -121,7 +108,7 @@ func (c *Config) applyDefaults() {
 		c.DsM = 50
 	}
 	if c.DvMS == 0 {
-		c.DvMS = DefaultDvMS
+		c.DvMS = 0.5
 	}
 	if c.DtSec == 0 {
 		c.DtSec = 1
@@ -174,10 +161,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("dp: %.0f time buckets exceed the backpointer packing limit; raise Δt or lower MaxTripSec", c.MaxTripSec/c.DtSec)
 	case c.Workers < 0:
 		return fmt.Errorf("dp: worker count %d must be non-negative", c.Workers)
-	case c.CoarseRefine.Factor < 0 || c.CoarseRefine.Factor == 1:
-		return fmt.Errorf("dp: coarse-refine factor %d must be 0 (off) or ≥ 2", c.CoarseRefine.Factor)
-	case c.CoarseRefine.CorridorMS < 0:
-		return fmt.Errorf("dp: coarse-refine corridor %.2f m/s must be non-negative", c.CoarseRefine.CorridorMS)
 	}
 	return nil
 }
@@ -215,7 +198,7 @@ type Result struct {
 	// coarse pass's count is in Refined.
 	StatesExpanded int
 	// Refined is non-nil when the coarse-to-fine fast path produced this
-	// result (Config.CoarseRefine, refine.go).
+	// result (OptimizeCoarseCtx, refine.go).
 	Refined *RefineDiag
 }
 
@@ -321,16 +304,13 @@ func OptimizeCtx(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.CoarseRefine.Factor >= 2 {
-		return optimizeRefined(ctx, cfg)
-	}
 	res, _, err := optimizeCore(ctx, cfg, nil)
 	return res, err
 }
 
 // optimizeCore runs the full DP on an already defaulted and validated
-// Config, ignoring cfg.CoarseRefine. corr, when non-nil, restricts each
-// stage's velocity band (the refine pass); nil solves the exact problem.
+// Config. corr, when non-nil, restricts each stage's velocity band (the
+// refine pass); nil solves the exact problem.
 // Alongside the Result it returns the winning velocity-index sequence, the
 // input the refine pass's corridor is built from.
 func optimizeCore(ctx context.Context, cfg Config, corr *corridor) (*Result, []int, error) {

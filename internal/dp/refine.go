@@ -1,10 +1,10 @@
 // Coarse-to-fine approximate DP (DESIGN.md §12).
 //
-// The fast path solves the DP twice: once on a velocity grid coarsened by
-// CoarseRefine.Factor (Factor² fewer (j, j2) transition pairs, so roughly
-// Factor² cheaper), then again on the exact grid with each stage's velocity
-// band restricted to a corridor of ±CorridorMS around the coarse winner.
-// This is the reduced-state approximate-DP idea of Deshpande et al. (arXiv
+// The fast path solves the DP twice: once on a velocity grid coarsened by a
+// factor (factor² fewer (j, j2) transition pairs, so roughly factor²
+// cheaper), then again on the exact grid with each stage's velocity band
+// restricted to a corridor of ±2·factor·Δv around the coarse winner. This
+// is the reduced-state approximate-DP idea of Deshpande et al. (arXiv
 // 2010.03620) applied as a *bracketing* pass: the coarse solution locates
 // the optimum's neighborhood, the fine pass recovers grid-exact physics
 // inside it.
@@ -14,43 +14,21 @@
 // upper bound on nothing less than the exact DP optimum. It equals the
 // exact optimum whenever the corridor contains the true optimal velocity
 // sequence — guaranteed for corridors wide enough to leave every band
-// uncut, and holding in practice at the default width (2·Factor·Δv), which
-// covers the coarse grid's quantization error of at most Factor·Δv per
-// stage twice over. When the coarse grid or the corridor turns out
-// infeasible, the solver falls back to the full exact DP and flags it
-// (RefineDiag.FellBack), so CoarseRefine never loses feasibility.
+// uncut, and holding in practice at 2·factor·Δv, which covers the coarse
+// grid's quantization error of at most factor·Δv per stage twice over.
+// When the coarse grid or the corridor turns out infeasible, the solver
+// falls back to the full exact DP and flags it (RefineDiag.FellBack), so
+// the fast path never loses feasibility.
 package dp
 
 import (
 	"context"
+	"fmt"
 	"math"
 )
 
-// CoarseRefine configures the coarse-to-fine fast path; the zero value
-// disables it.
-type CoarseRefine struct {
-	// Factor coarsens the velocity grid: the coarse pass solves with
-	// Δv' = Factor·DvMS. 0 disables the fast path; 2–4 are the useful
-	// range (validate rejects 1 and negatives).
-	Factor int
-	// CorridorMS is the half-width in m/s of the velocity corridor kept
-	// around the coarse winner for the fine pass. 0 means 2·Factor·DvMS.
-	CorridorMS float64
-}
-
-// marginMS resolves the corridor half-width against a fine grid spacing.
-func (c CoarseRefine) marginMS(dvMS float64) float64 {
-	if c.CorridorMS > 0 {
-		return c.CorridorMS
-	}
-	return 2 * float64(c.Factor) * dvMS
-}
-
 // RefineDiag reports how a coarse-refined result was produced.
 type RefineDiag struct {
-	// Factor and CorridorMS echo the resolved fast-path parameters.
-	Factor     int
-	CorridorMS float64
 	// CoarseChargeAh and CoarseStatesExpanded describe the coarse pass
 	// (zero when it failed and the solver fell back).
 	CoarseChargeAh       float64
@@ -106,25 +84,35 @@ func fineBand(vLo, vHi, dv float64, jMax int) (lo, hi int) {
 	return lo, hi
 }
 
-// optimizeRefined is the CoarseRefine entry point, called by OptimizeCtx on
-// a defaulted, validated Config with Factor ≥ 2. Context errors propagate
-// verbatim; any other failure of the coarse or corridor pass falls back to
-// the full exact DP.
-func optimizeRefined(ctx context.Context, cfg Config) (*Result, error) {
-	factor := cfg.CoarseRefine.Factor
-	margin := cfg.CoarseRefine.marginMS(cfg.DvMS)
-
-	fine := cfg
-	fine.CoarseRefine = CoarseRefine{}
-	coarse := fine
+// OptimizeCoarseCtx solves cfg through the coarse-to-fine fast path with
+// the velocity grid coarsened by factor (≥ 2; 2–4 are the useful range)
+// and the corridor 2·factor·Δv. The result carries a Refined diagnostic,
+// and its cost meets the error contract above against OptimizeCtx's exact
+// optimum. Context errors propagate verbatim, as in OptimizeCtx; any other
+// failure of the coarse or corridor pass falls back to the full exact DP.
+//
+//lint:certify pure
+func OptimizeCoarseCtx(ctx context.Context, cfg Config, factor int) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if factor < 2 {
+		return nil, fmt.Errorf("dp: coarse factor %d must be ≥ 2", factor)
+	}
+	cfg.applyDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	margin := 2 * float64(factor) * cfg.DvMS
+	coarse := cfg
 	coarse.DvMS = cfg.DvMS * float64(factor)
 
 	fallBack := func(coarseRes *Result) (*Result, error) {
-		res, _, err := optimizeCore(ctx, fine, nil)
+		res, _, err := optimizeCore(ctx, cfg, nil)
 		if err != nil {
 			return nil, err
 		}
-		diag := &RefineDiag{Factor: factor, CorridorMS: margin, FellBack: true}
+		diag := &RefineDiag{FellBack: true}
 		if coarseRes != nil {
 			diag.CoarseChargeAh = coarseRes.ChargeAh
 			diag.CoarseStatesExpanded = coarseRes.StatesExpanded
@@ -144,11 +132,11 @@ func optimizeRefined(ctx context.Context, cfg Config) (*Result, error) {
 		return fallBack(nil)
 	}
 
-	fg, err := buildGrid(&fine)
+	fg, err := buildGrid(&cfg)
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := optimizeCore(ctx, fine, corridorAround(cjs, coarse.DvMS, fine.DvMS, margin, fg.jMax))
+	res, _, err := optimizeCore(ctx, cfg, corridorAround(cjs, coarse.DvMS, cfg.DvMS, margin, fg.jMax))
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, err
@@ -159,7 +147,6 @@ func optimizeRefined(ctx context.Context, cfg Config) (*Result, error) {
 		return fallBack(cres)
 	}
 	res.Refined = &RefineDiag{
-		Factor: factor, CorridorMS: margin,
 		CoarseChargeAh:       cres.ChargeAh,
 		CoarseStatesExpanded: cres.StatesExpanded,
 	}

@@ -2,6 +2,8 @@ package dp
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -19,17 +21,11 @@ const refineEpsAh = 1e-3
 
 func TestCoarseRefineValidation(t *testing.T) {
 	cfg := coarseUS25(nil)
-	cfg.CoarseRefine = CoarseRefine{Factor: 1}
-	if _, err := Optimize(cfg); err == nil {
+	if _, err := OptimizeCoarseCtx(context.Background(), cfg, 1); err == nil {
 		t.Fatal("factor 1 accepted")
 	}
-	cfg.CoarseRefine = CoarseRefine{Factor: -2}
-	if _, err := Optimize(cfg); err == nil {
+	if _, err := OptimizeCoarseCtx(context.Background(), cfg, -2); err == nil {
 		t.Fatal("negative factor accepted")
-	}
-	cfg.CoarseRefine = CoarseRefine{Factor: 2, CorridorMS: -1}
-	if _, err := Optimize(cfg); err == nil {
-		t.Fatal("negative corridor accepted")
 	}
 }
 
@@ -50,20 +46,12 @@ func TestCoarseRefineFig6(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, factor := range []int{2, 3, 4} {
-		cfg := base
-		cfg.CoarseRefine = CoarseRefine{Factor: factor}
-		res, err := Optimize(cfg)
+		res, err := OptimizeCoarseCtx(context.Background(), base, factor)
 		if err != nil {
 			t.Fatalf("factor %d: %v", factor, err)
 		}
 		if res.Refined == nil {
 			t.Fatalf("factor %d: missing Refined diagnostic", factor)
-		}
-		if res.Refined.Factor != factor {
-			t.Fatalf("factor %d: diag reports %d", factor, res.Refined.Factor)
-		}
-		if res.Refined.CorridorMS != 2*float64(factor)*cfg.DvMS {
-			t.Fatalf("factor %d: default corridor %v", factor, res.Refined.CorridorMS)
 		}
 		if res.ChargeAh < exact.ChargeAh-1e-12 {
 			t.Fatalf("factor %d: refined %v beats the exact optimum %v", factor, res.ChargeAh, exact.ChargeAh)
@@ -83,7 +71,9 @@ func TestCoarseRefineFig6(t *testing.T) {
 }
 
 // TestCoarseRefineWideCorridorIsExact: a corridor wide enough to leave
-// every stage band uncut must reproduce the exact DP bit-for-bit.
+// every stage band uncut must reproduce the exact DP bit-for-bit. The
+// fast path always runs the default corridor, so the wide one is built
+// around the coarse winner here and handed to optimizeCore directly.
 func TestCoarseRefineWideCorridorIsExact(t *testing.T) {
 	wf, err := QueueAwareWindows(queue.US25Params(),
 		ConstantArrivalRate(queue.VehPerHour(153)), 0, 900)
@@ -98,13 +88,20 @@ func TestCoarseRefineWideCorridorIsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := base
-	cfg.CoarseRefine = CoarseRefine{Factor: 2, CorridorMS: 1000}
-	res, err := Optimize(cfg)
+	cfg.applyDefaults()
+	coarse := cfg
+	coarse.DvMS = 2 * cfg.DvMS
+	_, cjs, err := optimizeCore(context.Background(), coarse, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Refined == nil || res.Refined.FellBack {
-		t.Fatalf("wide corridor: diag %+v", res.Refined)
+	g, err := buildGrid(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := optimizeCore(context.Background(), cfg, corridorAround(cjs, coarse.DvMS, cfg.DvMS, 1000, g.jMax))
+	if err != nil {
+		t.Fatal(err)
 	}
 	requireIdenticalResults(t, exact, res, "wide corridor")
 }
@@ -149,9 +146,7 @@ func TestCoarseRefineRandomRoutes(t *testing.T) {
 			t.Fatalf("trial %d exact: %v", trial, err)
 		}
 		for _, factor := range []int{2, 3} {
-			c := cfg
-			c.CoarseRefine = CoarseRefine{Factor: factor}
-			res, err := Optimize(c)
+			res, err := OptimizeCoarseCtx(context.Background(), cfg, factor)
 			if err != nil {
 				t.Fatalf("trial %d factor %d: %v", trial, factor, err)
 			}
@@ -185,15 +180,12 @@ func TestCoarseRefineInfeasibleCoarseFallsBack(t *testing.T) {
 	cfg := Config{
 		Route: route, Vehicle: ev.SparkEV(),
 		DsM: 100, DvMS: 1, DtSec: 2, MaxTripSec: 600,
-		CoarseRefine: CoarseRefine{Factor: 40}, // Δv' = 40 m/s > 15 m/s limit
 	}
-	exact := cfg
-	exact.CoarseRefine = CoarseRefine{}
-	want, err := Optimize(exact)
+	want, err := Optimize(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Optimize(cfg)
+	res, err := OptimizeCoarseCtx(context.Background(), cfg, 40) // Δv' = 40 m/s > 15 m/s limit
 	if err != nil {
 		t.Fatalf("fallback failed: %v", err)
 	}
@@ -203,18 +195,60 @@ func TestCoarseRefineInfeasibleCoarseFallsBack(t *testing.T) {
 	requireIdenticalResults(t, want, res, "coarse fallback")
 }
 
-// TestCoarseRefineSegmentTables: segment tables are exact only. A build
-// asking for the coarse-to-fine fast path is rejected, and exact tables
-// refuse to serve a stitch config that asks for it (gridKey separation).
-func TestCoarseRefineSegmentTables(t *testing.T) {
-	base := coarseUS25(nil)
-	cfg := base
-	cfg.CoarseRefine = CoarseRefine{Factor: 2}
-	if _, err := BuildRouteTables(context.Background(), cfg); err == nil {
-		t.Fatal("coarse-refined segment tables were built")
+// refineHash digests a coarse-to-fine plan: the plan itself (resultHash)
+// plus the coarse pass's charge bits, its expansion count and the fallback
+// flag.
+func refineHash(h interface{ Write([]byte) (int, error) }, res *Result) {
+	resultHash(h, res)
+	put := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		_, _ = h.Write(b[:])
 	}
-	rt := buildTestTables(t, base)
-	if _, err := rt.StitchCtx(context.Background(), cfg); err == nil {
-		t.Fatal("exact tables served a coarse stitch config")
+	d := res.Refined
+	put(math.Float64bits(d.CoarseChargeAh))
+	put(uint64(d.CoarseStatesExpanded))
+	if d.FellBack {
+		put(1)
+	} else {
+		put(0)
+	}
+}
+
+// TestCoarseRefineGolden pins coarse-to-fine plans bit for bit at the
+// default corridor: factors 2, 3 and 4 on the US-25 production grid and
+// the Fig-6 grid (12 requests of the stitch golden's stream each), then
+// the factor-40 case whose coarse grid is empty and falls back.
+func TestCoarseRefineGolden(t *testing.T) {
+	const want = 0x2ab03f16fc3759c7
+	h := fnv.New64a()
+	for gi, grid := range stitchGrids()[:2] {
+		for _, factor := range []int{2, 3, 4} {
+			for i := 0; i < 12; i++ {
+				res, err := OptimizeCoarseCtx(context.Background(), stitchRequest(t, grid, i), factor)
+				if err != nil {
+					t.Fatalf("grid %d factor %d request %d: %v", gi, factor, i, err)
+				}
+				refineHash(h, res)
+			}
+		}
+	}
+	route, err := road.NewRoute(road.RouteConfig{LengthM: 1000, DefaultMaxMS: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := OptimizeCoarseCtx(context.Background(), Config{
+		Route: route, Vehicle: ev.SparkEV(),
+		DsM: 100, DvMS: 1, DtSec: 2, MaxTripSec: 600,
+	}, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Refined.FellBack {
+		t.Fatal("factor 40 did not fall back")
+	}
+	refineHash(h, res)
+	if got := h.Sum64(); got != want {
+		t.Fatalf("coarse-to-fine plans hash %#016x, want %#016x", got, uint64(want))
 	}
 }

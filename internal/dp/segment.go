@@ -104,10 +104,6 @@ type gridKey struct {
 	decelMaxMS2        float64
 	timeWeightAhPerSec float64
 	stopDwellSec       float64
-	// Tables are exact, so a stitch config asking for the coarse-to-fine
-	// fast path (DESIGN.md §12) must not be answered from them.
-	coarseFactor     int
-	coarseCorridorMS float64
 }
 
 func gridKeyOf(cfg *Config) gridKey {
@@ -118,8 +114,6 @@ func gridKeyOf(cfg *Config) gridKey {
 		accelMaxMS2: cfg.AccelMaxMS2, decelMaxMS2: cfg.DecelMaxMS2,
 		timeWeightAhPerSec: cfg.TimeWeightAhPerSec,
 		stopDwellSec:       cfg.StopDwellSec,
-		coarseFactor:       cfg.CoarseRefine.Factor,
-		coarseCorridorMS:   cfg.CoarseRefine.CorridorMS,
 	}
 }
 
@@ -179,8 +173,7 @@ func (rt *RouteTables) index() {
 // each segment once per admissible entry velocity. cfg.Windows and
 // cfg.DepartTime are ignored: windows bind at stitch time only. The
 // context is observed at every segment-stage boundary, exactly like
-// OptimizeCtx. Tables are always exact: a config asking for the
-// coarse-to-fine fast path is rejected.
+// OptimizeCtx.
 //
 //lint:certify pure
 func BuildRouteTables(ctx context.Context, cfg Config) (*RouteTables, error) {
@@ -190,9 +183,6 @@ func BuildRouteTables(ctx context.Context, cfg Config) (*RouteTables, error) {
 	cfg.applyDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.CoarseRefine.Factor != 0 {
-		return nil, fmt.Errorf("dp: segment tables are exact; CoarseRefine applies to OptimizeCtx only")
 	}
 	g, err := buildGrid(&cfg)
 	if err != nil {

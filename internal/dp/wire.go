@@ -204,7 +204,7 @@ func fingerprintTables(cfg *Config, g dpGrid, stages []stageInfo) uint64 {
 	put("cfg", math.Float64bits(cfg.DsM), math.Float64bits(cfg.DvMS), math.Float64bits(cfg.DtSec),
 		math.Float64bits(cfg.MaxTripSec), math.Float64bits(cfg.AccelMaxMS2), math.Float64bits(cfg.DecelMaxMS2),
 		math.Float64bits(cfg.TimeWeightAhPerSec), math.Float64bits(cfg.StopDwellSec),
-		cfg.CoarseRefine.Factor, math.Float64bits(cfg.CoarseRefine.CorridorMS))
+		0, 0) // the retired coarse factor and corridor: keeps fingerprints stable across versions
 	put("vehicle", cfg.Vehicle)
 	for i, st := range stages {
 		put("stage", i, math.Float64bits(st.posM), st.minJ, st.maxJ, st.forceZero, math.Float64bits(st.dwellSec))

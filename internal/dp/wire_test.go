@@ -69,6 +69,27 @@ func TestWireFingerprintPinsGrid(t *testing.T) {
 	}
 }
 
+// TestWireFingerprintGolden pins the fingerprint bytes on the stitch
+// golden's grids: nodes of different versions import each other's tables
+// only while the digest of an unchanged grid stays the same.
+func TestWireFingerprintGolden(t *testing.T) {
+	want := []uint64{0xe2bab68164f85150, 0x5158aea53b44e787, 0xee9febf44ae66618, 0x94334c6c0678147a}
+	for i, cfg := range stitchGrids() {
+		cfg.applyDefaults()
+		g, err := buildGrid(&cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stages, err := buildStages(cfg, g.n, g.ds, g.jMax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fingerprintTables(&cfg, g, stages); got != want[i] {
+			t.Fatalf("grid %d: fingerprint %#016x, want %#016x", i, got, want[i])
+		}
+	}
+}
+
 // TestWireImportRejectsCorruption: structurally damaged payloads with a
 // valid fingerprint must still be refused.
 func TestWireImportRejectsCorruption(t *testing.T) {

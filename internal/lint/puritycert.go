@@ -41,7 +41,7 @@ var PurityCert = &Analyzer{
 // like "evvo/internal/dp").
 var requiredPure = map[string]map[string]bool{
 	"dp": {
-		"Optimize": true, "OptimizeCtx": true,
+		"Optimize": true, "OptimizeCtx": true, "OptimizeCoarseCtx": true,
 		"SweepDepartures": true, "SweepDeparturesCtx": true,
 		"BuildRouteTables": true, "StitchCtx": true,
 	},
