@@ -1,4 +1,4 @@
-# Developer / CI entry points. `make check` is the gate: vet, build, the
+# Developer / CI entry points. `make check` is the gate: gofmt, vet, build, the
 # full test suite under the race detector — the race flag exercises the DP's
 # parallel relaxation, the departure-sweep pool, the minibatch sharding and
 # the fleet planner — plus a one-iteration benchmark smoke pass so the
@@ -6,9 +6,13 @@
 
 GO ?= go
 
-.PHONY: check vet lint build test race bench bench-smoke bench-fleet bench-dp bench-verify chaos chaos-cluster
+.PHONY: check fmt vet lint build test race bench bench-smoke bench-fleet bench-dp bench-verify chaos chaos-cluster
 
-check: vet lint build race bench-smoke bench-fleet bench-dp bench-verify chaos chaos-cluster
+check: fmt vet lint build race bench-smoke bench-fleet bench-dp bench-verify chaos chaos-cluster
+
+# Formatting gate: fails listing every file gofmt would rewrite.
+fmt:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...

@@ -509,11 +509,11 @@ func TestChaosDeadlineHeaderCapped(t *testing.T) {
 		header string
 		want   time.Duration
 	}{
-		{"", 2 * time.Second},            // server default
-		{"250", 250 * time.Millisecond},  // client tightens
-		{"60000", 3 * time.Second},       // capped at MaxDeadlineSec
-		{"garbage", 2 * time.Second},     // unparsable → default
-		{"-5", 2 * time.Second},          // non-positive → default
+		{"", 2 * time.Second},           // server default
+		{"250", 250 * time.Millisecond}, // client tightens
+		{"60000", 3 * time.Second},      // capped at MaxDeadlineSec
+		{"garbage", 2 * time.Second},    // unparsable → default
+		{"-5", 2 * time.Second},         // non-positive → default
 	}
 	for _, tc := range cases {
 		if got := s.requestDeadline(mk(tc.header)); got != tc.want {

@@ -19,9 +19,10 @@
 //     statements must be mutated through sync/atomic, the metrics API, a
 //     mutex, or index-addressed slots — never bare captured scalars.
 //
-// Four flow-aware analyzers guard the determinism and concurrency
-// contract directly (DESIGN.md §14), built on the intra-procedural
-// statement-graph walker in flow.go:
+// Four analyzers guard the determinism and concurrency contract
+// directly (DESIGN.md §14); detcheck and lockheld report per-function
+// facts the summary layer scans once (summary.go), lockheld's through
+// the statement-graph walker in flow.go:
 //
 //   - detcheck: no order-dependent accumulation or serialization inside
 //     map ranges (use stable.SortedKeys), no clock-seeded or global

@@ -63,7 +63,7 @@ func runAtomicCounter(pass *Pass) error {
 // isParForEach matches calls to the par package's ForEach (by final
 // import-path segment, so fixtures can provide their own par package).
 func isParForEach(pass *Pass, call *ast.CallExpr) bool {
-	pkgPath, funcName, ok := calledPackageFunc(pass, call)
+	pkgPath, funcName, ok := pkgFuncOf(pass.TypesInfo, call)
 	return ok && lastSegment(pkgPath) == "par" && funcName == "ForEach"
 }
 
@@ -102,7 +102,7 @@ func checkWorkerWrite(pass *Pass, lit *ast.FuncLit, target ast.Expr, lockHeld bo
 	if idx, ok := target.(*ast.IndexExpr); ok {
 		// Index-addressed slice/array slots are par's contract; maps are
 		// not index-safe and fall through to the captured-write check.
-		if !isMapIndex(pass, idx) {
+		if !isMap(pass.TypesInfo, idx.X) {
 			return
 		}
 		target = idx.X
@@ -154,8 +154,9 @@ func unparen(e ast.Expr) ast.Expr {
 	}
 }
 
-func isMapIndex(pass *Pass, idx *ast.IndexExpr) bool {
-	t := pass.TypesInfo.Types[idx.X].Type
+// isMap reports whether e has map type.
+func isMap(info *types.Info, e ast.Expr) bool {
+	t := info.Types[e].Type
 	if t == nil {
 		return false
 	}

@@ -16,8 +16,8 @@ package lint
 //     lint invocation, to a graph node with a body;
 //   - calls into packages outside the invocation (the standard library,
 //     whose bodies the loader deliberately skips) resolve to the callee
-//     object only and are classified by the curated effect/blocking
-//     tables in summary.go;
+//     object only and are classified by the per-site scan in
+//     summary.go (scanSites);
 //   - calls through function values, fields, parameters, method values
 //     and interface methods do NOT resolve — the caller's summary is
 //     marked Dynamic and the analyzers built on top document how they
@@ -124,12 +124,6 @@ func BuildProgram(pkgs []*Package) *Program {
 
 	summarize(prog)
 	return prog
-}
-
-// FuncNode returns the Program's node for fn, or nil when fn has no body
-// in the analyzed set.
-func (p *Program) funcNode(fn *types.Func) *fnode {
-	return p.funcs[fn]
 }
 
 // collectCalls walks n's body recording resolved call sites in source

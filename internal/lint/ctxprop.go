@@ -37,17 +37,7 @@ var CtxProp = &Analyzer{
 var ctxPropScopes = []string{"cloud", "cloudd"}
 
 func runCtxProp(pass *Pass) error {
-	if pass.Prog == nil {
-		return nil
-	}
-	inScope := false
-	for _, s := range ctxPropScopes {
-		if pathHasSegments(pass.PkgPath, s) {
-			inScope = true
-			break
-		}
-	}
-	if !inScope {
+	if pass.Prog == nil || !anyPathSegment(pass.PkgPath, ctxPropScopes) {
 		return nil
 	}
 	for _, n := range pass.Prog.order {

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // DetCheck enforces the repo's determinism contract (DESIGN.md §6, §12,
@@ -52,51 +53,72 @@ var globalRandFns = map[string]bool{
 	"ExpFloat64": true, "Perm": true, "Shuffle": true, "Read": true,
 }
 
+// runDetCheck reports rules 1 (folds), 3 and 4 from the direct sites the
+// summary layer scanned (scanSites): each function's own, plus those of
+// the package-level var initializers, scanned here with the same
+// classifier. Map-range serialization and clock-seeded top-level
+// sources are matched locally.
 func runDetCheck(pass *Pass) error {
-	inScope := false
-	for _, s := range detCheckScopes {
-		if pathHasSegments(pass.PkgPath, s) {
-			inScope = true
-			break
+	inScope := anyPathSegment(pass.PkgPath, detCheckScopes)
+	pureSolver := detPureSolvers[lastSegment(pass.PkgPath)]
+	if pass.Prog == nil || !inScope && !pureSolver {
+		return nil
+	}
+	report := func(ds *directSites) {
+		if inScope {
+			for _, h := range ds.effects[effMapOrder] {
+				if strings.HasPrefix(h.what, "append") {
+					pass.Reportf(h.pos,
+						"append into %q while ranging a map accumulates in nondeterministic order; iterate stable.SortedKeys (internal/stable) or sort the result where it is built",
+						h.arg)
+				} else {
+					pass.Reportf(h.pos,
+						"float accumulation into %q while ranging a map is order-sensitive (FP addition does not commute bit-exactly); iterate stable.SortedKeys (internal/stable)",
+						h.arg)
+				}
+			}
+			for _, r := range ds.effects[effRand] {
+				pass.Reportf(r.pos,
+					"rand.%s draws from the global math/rand source (clock-seeded, process-wide): thread a seeded *rand.Rand instead",
+					r.arg)
+			}
+		}
+		if pureSolver {
+			for _, c := range ds.effects[effTime] {
+				if c.arg == "Now" {
+					pass.Reportf(c.pos,
+						"time.Now() in pure solver package %s makes the solve depend on when it ran; take the timestamp as a parameter",
+						lastSegment(pass.PkgPath))
+				}
+			}
 		}
 	}
-	pureSolver := detPureSolvers[lastSegment(pass.PkgPath)]
-	if !inScope && !pureSolver {
-		return nil
+	for _, n := range pass.Prog.order {
+		if n.pkg.PkgPath == pass.PkgPath {
+			report(&n.sum.sites)
+		}
 	}
 	for _, f := range pass.Files {
 		if isTestFile(pass.Fset, f.Pos()) {
 			continue
 		}
 		for _, decl := range f.Decls {
-			if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.VAR && inScope {
-				checkTopLevelRand(pass, gd)
+			if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+				if inScope {
+					checkTopLevelRand(pass, gd)
+				}
+				ds := scanSites(pass.TypesInfo, gd)
+				report(&ds)
 			}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.RangeStmt:
-				if inScope {
-					checkMapRange(pass, n)
+		if inScope {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if rng, ok := n.(*ast.RangeStmt); ok && isMap(pass.TypesInfo, rng.X) {
+					checkMapRangeSerialization(pass, rng)
 				}
-			case *ast.CallExpr:
-				pkgPath, funcName, ok := calledPackageFunc(pass, n)
-				if !ok {
-					return true
-				}
-				if inScope && pkgPath == "math/rand" && globalRandFns[funcName] {
-					pass.Reportf(n.Pos(),
-						"rand.%s draws from the global math/rand source (clock-seeded, process-wide): thread a seeded *rand.Rand instead",
-						funcName)
-				}
-				if pureSolver && pkgPath == "time" && funcName == "Now" {
-					pass.Reportf(n.Pos(),
-						"time.Now() in pure solver package %s makes the solve depend on when it ran; take the timestamp as a parameter",
-						lastSegment(pass.PkgPath))
-				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 	return nil
 }
@@ -116,7 +138,7 @@ func checkTopLevelRand(pass *Pass, gd *ast.GenDecl) {
 				if !ok {
 					return true
 				}
-				pkgPath, funcName, ok := calledPackageFunc(pass, call)
+				pkgPath, funcName, ok := pkgFuncOf(pass.TypesInfo, call)
 				if !ok {
 					return true
 				}
@@ -136,22 +158,13 @@ func checkTopLevelRand(pass *Pass, gd *ast.GenDecl) {
 	}
 }
 
-// checkMapRange flags order-dependent folds inside a range over a map.
-func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
-	t := pass.TypesInfo.Types[rng.X].Type
-	if t == nil {
-		return
-	}
-	if _, isMap := t.Underlying().(*types.Map); !isMap {
-		return
-	}
+// checkMapRangeSerialization flags entries written to an ordered
+// stream inside a range over a map.
+func checkMapRangeSerialization(pass *Pass, rng *ast.RangeStmt) {
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			checkMapRangeAssign(pass, rng, n)
-		case *ast.CallExpr:
-			if name, ok := serializationSink(pass, n); ok {
-				pass.Reportf(n.Pos(),
+		if call, ok := n.(*ast.CallExpr); ok {
+			if name, ok := serializationSink(pass, call); ok {
+				pass.Reportf(call.Pos(),
 					"%s inside a map range serializes entries in nondeterministic order; iterate stable.SortedKeys first (internal/stable)",
 					name)
 			}
@@ -160,49 +173,11 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
 	})
 }
 
-// checkMapRangeAssign flags appends and float accumulation into state
-// declared outside the loop. Integer tallies (commutative) and map→map
-// copies (order-blind) pass — metrics.LabeledCounter.Total and .Snapshot
-// are the canonical clean cases.
-func checkMapRangeAssign(pass *Pass, rng *ast.RangeStmt, assign *ast.AssignStmt) {
-	switch assign.Tok {
-	case token.ASSIGN:
-		for i, lhs := range assign.Lhs {
-			if i >= len(assign.Rhs) {
-				break
-			}
-			call, ok := unparen(assign.Rhs[i]).(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			if id, ok := call.Fun.(*ast.Ident); !ok || id.Name != "append" {
-				continue
-			}
-			if declaredOutside(pass, lhs, rng) {
-				pass.Reportf(assign.Pos(),
-					"append into %q while ranging a map accumulates in nondeterministic order; iterate stable.SortedKeys (internal/stable) or sort the result where it is built",
-					exprText(lhs))
-			}
-		}
-	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN:
-		for _, lhs := range assign.Lhs {
-			if !isFloat(pass, lhs) {
-				continue
-			}
-			if declaredOutside(pass, lhs, rng) {
-				pass.Reportf(assign.Pos(),
-					"float accumulation into %q while ranging a map is order-sensitive (FP addition does not commute bit-exactly); iterate stable.SortedKeys (internal/stable)",
-					exprText(lhs))
-			}
-		}
-	}
-}
-
 // serializationSink matches calls that emit entries to an ordered stream:
 // encoder Encode, writer Write/WriteString, and fmt.Fprint* (except to a
 // terminal stream, where ordering is cosmetic).
 func serializationSink(pass *Pass, call *ast.CallExpr) (string, bool) {
-	if pkgPath, funcName, ok := calledPackageFunc(pass, call); ok {
+	if pkgPath, funcName, ok := pkgFuncOf(pass.TypesInfo, call); ok {
 		if pkgPath == "fmt" && (funcName == "Fprint" || funcName == "Fprintf" || funcName == "Fprintln") &&
 			len(call.Args) > 0 && !isStdStream(call.Args[0]) {
 			return "fmt." + funcName, true
@@ -233,27 +208,4 @@ func isStdStream(e ast.Expr) bool {
 	}
 	pkg, ok := sel.X.(*ast.Ident)
 	return ok && pkg.Name == "os" && (sel.Sel.Name == "Stdout" || sel.Sel.Name == "Stderr")
-}
-
-// declaredOutside reports whether the lvalue's root identifier is
-// declared outside the range statement (loop-local accumulators, reset
-// every iteration, cannot observe cross-iteration order).
-func declaredOutside(pass *Pass, lhs ast.Expr, rng *ast.RangeStmt) bool {
-	lhs = unparen(lhs)
-	// Map index writes (out[k] = v) are order-blind copies.
-	if idx, ok := lhs.(*ast.IndexExpr); ok && isMapIndex(pass, idx) {
-		return false
-	}
-	root := rootIdent(lhs)
-	if root == nil {
-		return false
-	}
-	obj := pass.TypesInfo.Uses[root]
-	if obj == nil {
-		obj = pass.TypesInfo.Defs[root]
-	}
-	if obj == nil {
-		return false
-	}
-	return obj.Pos() < rng.Pos() || obj.Pos() > rng.End()
 }

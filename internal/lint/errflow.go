@@ -73,7 +73,7 @@ func runErrFlow(pass *Pass) error {
 // errFlowSink classifies a call as a wire-boundary sink and names it for
 // the diagnostic.
 func errFlowSink(pass *Pass, call *ast.CallExpr) (string, bool) {
-	if pkgPath, funcName, ok := calledPackageFunc(pass, call); ok {
+	if pkgPath, funcName, ok := pkgFuncOf(pass.TypesInfo, call); ok {
 		if pkgPath == "fmt" && (funcName == "Fprint" || funcName == "Fprintf" || funcName == "Fprintln") &&
 			len(call.Args) > 0 && !isStdStream(call.Args[0]) {
 			return "fmt." + funcName, true

@@ -50,7 +50,7 @@ func runFloatEq(pass *Pass) error {
 			if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
 				return true
 			}
-			if !isFloat(pass, be.X) && !isFloat(pass, be.Y) {
+			if !isFloat(pass.TypesInfo, be.X) && !isFloat(pass.TypesInfo, be.Y) {
 				return true
 			}
 			if isZeroConst(pass, be.X) || isZeroConst(pass, be.Y) {
@@ -65,8 +65,8 @@ func runFloatEq(pass *Pass) error {
 	return nil
 }
 
-func isFloat(pass *Pass, e ast.Expr) bool {
-	t := pass.TypesInfo.Types[e].Type
+func isFloat(info *types.Info, e ast.Expr) bool {
+	t := info.Types[e].Type
 	if t == nil {
 		return false
 	}

@@ -5,7 +5,8 @@ package lint
 // "facts" (named dataflow properties, e.g. "mutex s.mu is held") forward
 // through a function body in execution order, joining facts at branch
 // merges. It is deliberately small — no basic blocks, no SSA, no
-// x/tools — because the analyzers built on it (lockheld today) only need
+// x/tools — because its one user, the summaries' lock walk (lockWalk in
+// summary.go, read by lockorder and lockheld), only needs
 // may-analysis over Go's structured statements:
 //
 //   - Branches (if/switch/select) analyze each arm from a clone of the

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 )
 
 // GoLeak flags goroutines launched from request-path functions with no
@@ -33,49 +32,16 @@ var GoLeak = &Analyzer{
 }
 
 func runGoLeak(pass *Pass) error {
-	for _, f := range pass.Files {
-		if isTestFile(pass.Fset, f.Pos()) {
-			continue
+	inspectRequestPaths(pass, func(n ast.Node, inRequestPath bool) {
+		g, ok := n.(*ast.GoStmt)
+		if !ok || !inRequestPath {
+			return
 		}
-		// Track, like ctxcheck, whether the walk is inside a function (or
-		// a literal nested in one) whose signature marks a request path.
-		var sigStack []bool
-		inRequestPath := func() bool {
-			for _, h := range sigStack {
-				if h {
-					return true
-				}
-			}
-			return false
+		if lit, ok := g.Call.Fun.(*ast.FuncLit); ok && !hasJoinOrCancelEdge(lit.Body) {
+			pass.Reportf(g.Pos(),
+				"goroutine launched in a request-path function without a join or cancellation edge: add a WaitGroup.Done, a channel rendezvous, or a ctx-derived stop")
 		}
-		var walk func(n ast.Node) bool
-		walk = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				sig, _ := pass.TypesInfo.Defs[n.Name].(*types.Func)
-				sigStack = append(sigStack, sig != nil && isRequestPathSignature(sig.Type().(*types.Signature)))
-				if n.Body != nil {
-					ast.Inspect(n.Body, walk)
-				}
-				sigStack = sigStack[:len(sigStack)-1]
-				return false
-			case *ast.FuncLit:
-				sig, _ := pass.TypesInfo.Types[n].Type.(*types.Signature)
-				sigStack = append(sigStack, sig != nil && isRequestPathSignature(sig))
-				ast.Inspect(n.Body, walk)
-				sigStack = sigStack[:len(sigStack)-1]
-				return false
-			case *ast.GoStmt:
-				lit, ok := n.Call.Fun.(*ast.FuncLit)
-				if ok && inRequestPath() && !hasJoinOrCancelEdge(lit.Body) {
-					pass.Reportf(n.Pos(),
-						"goroutine launched in a request-path function without a join or cancellation edge: add a WaitGroup.Done, a channel rendezvous, or a ctx-derived stop")
-				}
-			}
-			return true
-		}
-		ast.Inspect(f, walk)
-	}
+	})
 	return nil
 }
 

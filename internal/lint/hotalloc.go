@@ -1,11 +1,5 @@
 package lint
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-)
-
 // HotAlloc guards the zero-alloc steady-state claims that the
 // AllocsPerRun tests pin at runtime (DP relaxation/commit, neural
 // epoch kernels): any function reachable from a `//lint:hot`-marked
@@ -54,7 +48,7 @@ func runHotAlloc(pass *Pass) error {
 		if root != funcDisplayName(n.fn) {
 			via = " (reachable from //lint:hot " + root + ")"
 		}
-		for _, site := range directAllocSites(n) {
+		for _, site := range n.sum.sites.allocs {
 			pass.Reportf(site.pos,
 				"%s in %s%s: hot-path functions must not allocate; hoist the allocation to setup or scratch state",
 				site.what, funcDisplayName(n.fn), via)
@@ -93,46 +87,4 @@ func (p *Program) hotReachable() map[*fnode]string {
 	}
 	p.hotReach = reach
 	return reach
-}
-
-// allocSite is one direct allocation in a function body.
-type allocSite struct {
-	pos  token.Pos
-	what string
-}
-
-// directAllocSites lists every allocation site in n's own body (function
-// literals included — they belong to whoever wrote them), using exactly
-// the classification the summaries use, so sum.allocs != nil iff a
-// direct site exists here or in a reachable callee.
-func directAllocSites(n *fnode) []allocSite {
-	info := n.pkg.TypesInfo
-	var out []allocSite
-	ast.Inspect(n.decl.Body, func(nd ast.Node) bool {
-		switch nd := nd.(type) {
-		case *ast.CompositeLit:
-			if what, ok := allocatingLiteral(info, nd); ok {
-				out = append(out, allocSite{nd.Pos(), what})
-			}
-		case *ast.CallExpr:
-			if id, ok := unparen(nd.Fun).(*ast.Ident); ok {
-				if b, isB := info.Uses[id].(*types.Builtin); isB {
-					switch b.Name() {
-					case "append":
-						out = append(out, allocSite{nd.Pos(), "append growth"})
-					case "make":
-						out = append(out, allocSite{nd.Pos(), "make"})
-					case "new":
-						out = append(out, allocSite{nd.Pos(), "new"})
-					}
-				}
-				return true
-			}
-			if pkgPath, funcName, ok := pkgFuncOf(info, nd); ok && pkgPath == "fmt" {
-				out = append(out, allocSite{nd.Pos(), "fmt." + funcName + " (interface boxing)"})
-			}
-		}
-		return true
-	})
-	return out
 }

@@ -1,12 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-	"sort"
-	"strings"
-)
+import "go/types"
 
 // LockHeld flags blocking operations performed while a sync.Mutex or
 // sync.RWMutex may still be held — the failure mode that turns one slow
@@ -19,14 +13,16 @@ import (
 //   - network calls (http.Client.Do/Get/Post/..., the net/http package
 //     helpers) and time.Sleep.
 //
-// The analysis is the flow walker's may-held dataflow: Lock()/RLock()
-// establishes a held fact, Unlock()/RUnlock() on the same receiver
-// expression retires it, branch joins union (held on any path counts),
-// and early-exit paths (`if err { mu.Unlock(); return }`) are tracked
-// precisely. `defer mu.Unlock()` is recognized as the lock being held to
-// function exit — blocking calls after it still fire, because the lock
-// IS held there. A critical section that computes without blocking and
-// unlocks stays silent.
+// The findings are the held blocks of the summaries' lock walk
+// (summary.go lockWalk), a may-held dataflow over the flow walker:
+// Lock()/RLock() establishes a held fact, Unlock()/RUnlock() on the same
+// receiver expression retires it, branch joins union (held on any path
+// counts), and early-exit paths (`if err { mu.Unlock(); return }`) are
+// tracked precisely. `defer mu.Unlock()` is recognized as the lock being
+// held to function exit — blocking calls after it still fire, because
+// the lock IS held there. A critical section that computes without
+// blocking and unlocks stays silent. Function literals are walked as
+// functions of their own, from an empty held set.
 var LockHeld = &Analyzer{
 	Name: "lockheld",
 	Doc: "no blocking calls (network, channels, sync waits) while a mutex may be held\n\n" +
@@ -43,26 +39,18 @@ var lockHeldScopes = []string{
 }
 
 func runLockHeld(pass *Pass) error {
-	if !anyPathSegment(pass.PkgPath, lockHeldScopes) {
+	if pass.Prog == nil || !anyPathSegment(pass.PkgPath, lockHeldScopes) {
 		return nil
 	}
-	for _, f := range pass.Files {
-		if isTestFile(pass.Fset, f.Pos()) {
+	for _, n := range pass.Prog.order {
+		if n.pkg.PkgPath != pass.PkgPath {
 			continue
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					v := &lockHeldVisitor{pass: pass, reported: map[token.Pos]bool{}}
-					walkFlow(n.Body, v)
-				}
-			case *ast.FuncLit:
-				v := &lockHeldVisitor{pass: pass, reported: map[token.Pos]bool{}}
-				walkFlow(n.Body, v)
-			}
-			return true
-		})
+		for _, b := range n.sum.heldBlocks {
+			pass.Reportf(b.pos,
+				"%s while %s may still be held: release the lock before blocking, or hand the work to a goroutine",
+				b.what, b.locks)
+		}
 	}
 	return nil
 }
@@ -74,113 +62,6 @@ func anyPathSegment(path string, scopes []string) bool {
 		}
 	}
 	return false
-}
-
-// lockHeldVisitor is the flowVisitor carrying the may-held fact set.
-// reported deduplicates findings: loop bodies are walked twice.
-type lockHeldVisitor struct {
-	pass     *Pass
-	reported map[token.Pos]bool
-}
-
-func (v *lockHeldVisitor) transfer(s ast.Stmt, facts factSet) {
-	switch s := s.(type) {
-	case *ast.DeferStmt:
-		// defer mu.Unlock() means the lock stays held to function exit —
-		// recognized (not a leak), but later blocking calls still flag.
-		// Other deferred calls run at exit; out of walk order, skip them.
-		return
-	case *ast.GoStmt:
-		// The goroutine body runs elsewhere and does not hold this
-		// function's locks; its own walk covers it. Argument evaluation
-		// is synchronous but never blocking in practice.
-		return
-	case *ast.SendStmt:
-		v.blockedWhileHeld(s.Pos(), "channel send", facts)
-	case *ast.SelectStmt:
-		if !hasDefaultClause(s.Body) {
-			v.blockedWhileHeld(s.Pos(), "select without default", facts)
-		}
-		return
-	case *ast.RangeStmt:
-		if t := v.pass.TypesInfo.Types[s.X].Type; t != nil {
-			if _, isChan := t.Underlying().(*types.Chan); isChan {
-				v.blockedWhileHeld(s.Pos(), "range over channel", facts)
-			}
-		}
-	}
-	inspectShallow(headerExprs(s), func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				v.blockedWhileHeld(n.Pos(), "channel receive", facts)
-			}
-		case *ast.CallExpr:
-			v.transferCall(n, facts)
-		}
-		return true
-	})
-}
-
-// transferCall applies Lock/Unlock effects and classifies blocking calls.
-func (v *lockHeldVisitor) transferCall(call *ast.CallExpr, facts factSet) {
-	if pkgPath, funcName, ok := calledPackageFunc(v.pass, call); ok {
-		switch {
-		case pkgPath == "time" && funcName == "Sleep":
-			v.blockedWhileHeld(call.Pos(), "time.Sleep", facts)
-		case lastSegment(pkgPath) == "http" &&
-			(funcName == "Get" || funcName == "Post" || funcName == "PostForm" || funcName == "Head"):
-			v.blockedWhileHeld(call.Pos(), "http."+funcName, facts)
-		}
-		return
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	recvType := func() types.Type {
-		t := v.pass.TypesInfo.Types[sel.X].Type
-		if p, ok := t.(*types.Pointer); ok {
-			return p.Elem()
-		}
-		return t
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		if isMutexType(recvType()) {
-			key := exprText(sel.X)
-			if _, held := facts[key]; !held {
-				facts[key] = call.Pos()
-			}
-		}
-	case "Unlock", "RUnlock":
-		if isMutexType(recvType()) {
-			delete(facts, exprText(sel.X))
-		}
-	case "Wait":
-		if isSyncWaitType(recvType()) {
-			v.blockedWhileHeld(call.Pos(), "sync "+exprText(sel.X)+".Wait", facts)
-		}
-	case "Do", "Get", "Post", "PostForm", "Head":
-		if t := recvType(); t != nil && types.TypeString(t, nil) == "net/http.Client" {
-			v.blockedWhileHeld(call.Pos(), "http.Client."+sel.Sel.Name, facts)
-		}
-	}
-}
-
-func (v *lockHeldVisitor) blockedWhileHeld(pos token.Pos, what string, facts factSet) {
-	if len(facts) == 0 || v.reported[pos] {
-		return
-	}
-	v.reported[pos] = true
-	held := make([]string, 0, len(facts))
-	for k := range facts {
-		held = append(held, k)
-	}
-	sort.Strings(held)
-	v.pass.Reportf(pos,
-		"%s while %s may still be held: release the lock before blocking, or hand the work to a goroutine",
-		what, strings.Join(held, ", "))
 }
 
 // isMutexType matches sync.Mutex, sync.RWMutex and the sync.Locker

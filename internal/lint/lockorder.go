@@ -90,7 +90,7 @@ func (p *Program) lockOrderGraph() *lockGraph {
 	}
 	g := &lockGraph{edges: make(map[string]map[string]*lockEdgeSite), cyclic: make(map[string]bool)}
 	for _, n := range p.order { // deterministic (position) order: first establisher wins
-		for _, key := range sortedWitnessKeyList(n.sum.lockEdges) {
+		for _, key := range sortedKeys(n.sum.lockEdges) {
 			parts := strings.SplitN(key, "\x00", 2)
 			from, to := parts[0], parts[1]
 			if g.edges[from] == nil {

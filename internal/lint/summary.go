@@ -12,7 +12,8 @@ package lint
 //   - lock sets: which lock classes the function may acquire, and the
 //     lock→lock acquisition-order edges it establishes (lock B taken
 //     while A is held), tracked flow-sensitively with the walker in
-//     flow.go so early-exit unlocks stay precise;
+//     flow.go so early-exit unlocks stay precise; the same walk lists
+//     every parking operation reached while a lock may be held;
 //   - blocking: whether the function may park — channel operations,
 //     selects without a default, time.Sleep, HTTP round trips — plus the
 //     ctxprop-specific refinement "blocks with no context.Context
@@ -20,6 +21,11 @@ package lint
 //   - allocation: whether the function may allocate on the hot path —
 //     make/new/append, slice, map and pointer composite literals, and
 //     fmt calls (interface boxing).
+//
+// The facts a body establishes by itself come from one scan per
+// function (scanSites), which keeps every site with its position:
+// detcheck and hotalloc report those lists directly, and the summaries
+// fold them into first-witness facts.
 //
 // The contract with consumers (DESIGN.md §15): facts are MAY facts and
 // monotone — a call site unions the callee's summary into the caller —
@@ -31,16 +37,17 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
 
 // Effect kinds, in severity/report order.
 const (
-	effTime = iota // wall-clock read (time.Now/Since/Until)
-	effRand        // global math/rand stream
-	effMapOrder    // order-dependent fold inside a map range
-	effGlobal      // package-level variable mutation
+	effTime     = iota // wall-clock read (time.Now/Since/Until)
+	effRand            // global math/rand stream
+	effMapOrder        // order-dependent fold inside a map range
+	effGlobal          // package-level variable mutation
 	numEffects
 )
 
@@ -59,9 +66,6 @@ type witness struct {
 
 // A Summary is the interprocedural fact set of one declared function.
 type Summary struct {
-	fn   *types.Func
-	node *fnode
-
 	effects [numEffects]*witness
 	// blocking: any parking operation, sync.WaitGroup/Cond waits
 	// included (the join discipline lockheld already polices).
@@ -81,22 +85,22 @@ type Summary struct {
 	// A\x00B, with the position that established the edge.
 	lockEdges map[string]*witness
 
+	// sites lists every fact the body establishes directly, scanned once
+	// (scanSites); each fixpoint iteration folds the first of each list
+	// into the witnesses above.
+	sites directSites
+	// heldBlocks: every parking operation the lock walk reached while a
+	// lock may be held, in walk order — lockheld's findings.
+	heldBlocks []heldBlock
+
 	hasCtx    bool // signature carries context.Context or *http.Request
 	dynamic   bool // has call sites the graph could not resolve
 	certified bool // carries //lint:certify pure
 	hot       bool // carries //lint:hot
 }
 
-func (s *Summary) pure() bool {
-	for _, w := range s.effects {
-		if w != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// summarize computes every node's Summary, bottom-up over the SCC DAG.
+// summarize scans every node's body once for its direct sites, then
+// computes the Summaries bottom-up over the SCC DAG.
 func summarize(prog *Program) {
 	for _, n := range prog.order {
 		n.sum = newSummary(n)
@@ -120,8 +124,7 @@ func summarize(prog *Program) {
 
 func newSummary(n *fnode) *Summary {
 	s := &Summary{
-		fn:        n.fn,
-		node:      n,
+		sites:     scanSites(n.pkg.TypesInfo, n.decl.Body),
 		acquires:  make(map[string]*witness),
 		lockEdges: make(map[string]*witness),
 		hasCtx:    signatureCarriesCtx(n.fn),
@@ -134,23 +137,21 @@ func newSummary(n *fnode) *Summary {
 	return s
 }
 
-// computeSummary (re)derives n's facts from its body and the CURRENT
-// summaries of its callees, reporting whether anything new appeared —
-// the fixpoint test inside an SCC. Facts only ever turn on, so the
-// iteration terminates.
+// computeSummary (re)derives n's facts from its direct sites and the
+// CURRENT summaries of its callees, reporting whether anything new
+// appeared — the fixpoint test inside an SCC. Facts only ever turn on,
+// so the iteration terminates.
 func computeSummary(prog *Program, n *fnode) bool {
 	s := n.sum
 	before := s.factKey()
 
-	scanDirect(n, s)
-
+	s.foldSites()
 	for _, cs := range n.calls {
-		if cs.target != nil {
-			mergeCallee(s, cs, cs.target.sum)
-		} else {
-			mergeExternal(n.pkg, s, cs)
+		if cs.target == nil {
+			continue // out-of-Program callees are classified by scanSites
 		}
-		if cs.target != nil && cs.target.sum.dynamic {
+		mergeCallee(s, cs, cs.target.sum)
+		if cs.target.sum.dynamic {
 			s.dynamic = true
 		}
 	}
@@ -197,155 +198,177 @@ func (s *Summary) factKey() string {
 	return b.String()
 }
 
-// scanDirect records the facts n's own body establishes without calls:
-// direct blocking operations, allocation sites, map-order folds and
-// global writes. Function literals are included for effects/allocations
-// (they belong to whoever wrote them) but not for blocking.
-func scanDirect(n *fnode, s *Summary) {
-	info := n.pkg.TypesInfo
+// A site is one fact a body establishes directly, at one position.
+type site struct {
+	pos  token.Pos
+	what string // witness text: "channel send", "time.Now()", "make", …
+	arg  string // the package function a call names ("Now"), or a map fold's lvalue ("out")
+	join bool   // a blocking site that is a sync WaitGroup/Cond wait
+}
+
+// directSites lists, by kind and in source order, every fact a syntax
+// tree establishes without following calls.
+type directSites struct {
+	effects [numEffects][]site
+	blocks  []site
+	allocs  []site
+}
+
+// foldSites sets the first-witness facts the direct sites establish.
+// Sync waits are blocking but never unguarded: a join on workers that
+// carry the ctx themselves is the blessed fan-out shape (par.ForEach).
+func (s *Summary) foldSites() {
+	for kind, list := range s.sites.effects {
+		if len(list) > 0 {
+			s.setEffect(kind, list[0].pos, list[0].what, nil)
+		}
+	}
+	for _, b := range s.sites.blocks {
+		s.setBlocking(b.pos, b.what, nil)
+		if !b.join {
+			s.setUnguarded(b.pos, b.what, nil)
+		}
+	}
+	if len(s.sites.allocs) > 0 {
+		s.setAlloc(s.sites.allocs[0].pos, s.sites.allocs[0].what, nil)
+	}
+}
+
+// scanSites is the suite's one classifier of per-site facts: a single
+// walk of root recording every parking operation, allocation,
+// nondeterministic call, order-dependent map fold and package-level
+// write. Function literals, go statements and a select's comm clauses
+// count for effects and allocations (they belong to whoever wrote
+// them) but not for blocking: a literal or a spawned call parks its own
+// goroutine, and a comm operation parks only through its select.
+func scanSites(info *types.Info, root ast.Node) directSites {
+	var ds directSites
 	var scan func(node ast.Node, noBlock bool)
 	scan = func(node ast.Node, noBlock bool) {
 		ast.Inspect(node, func(nd ast.Node) bool {
+			if what, join, ok := parkingOp(info, nd); ok && !noBlock {
+				ds.blocks = append(ds.blocks, site{pos: nd.Pos(), what: what, join: join})
+			}
 			switch nd := nd.(type) {
 			case *ast.FuncLit:
 				scan(nd.Body, true)
 				return false
 			case *ast.GoStmt:
-				// Effects and allocations in the spawned call's arguments
-				// still happen synchronously; blocking does not.
-				for _, arg := range nd.Call.Args {
-					scan(arg, true)
-				}
-				scan(nd.Call.Fun, true)
+				scan(nd.Call, true)
 				return false
-			case *ast.SendStmt:
-				if !noBlock {
-					s.setBlocking(nd.Pos(), "channel send", nil)
-					s.setUnguarded(nd.Pos(), "channel send", nil)
-				}
-			case *ast.UnaryExpr:
-				if nd.Op == token.ARROW && !noBlock {
-					s.setBlocking(nd.Pos(), "channel receive", nil)
-					s.setUnguarded(nd.Pos(), "channel receive", nil)
-				}
 			case *ast.SelectStmt:
-				if !hasDefaultClause(nd.Body) && !noBlock {
-					s.setBlocking(nd.Pos(), "select without default", nil)
-					// A select is HOW a ctx-aware function blocks
-					// correctly (ctx.Done is one of the arms), so it only
-					// counts as unguarded when no ctx is in scope — which
-					// is exactly the hasCtx test applied by setUnguarded.
-					s.setUnguarded(nd.Pos(), "select without default", nil)
-				}
-				// The comm operations are PART of the select — a receive
-				// under a default-carrying select never parks — so only
-				// the clause bodies are scanned, not the comm headers.
 				for _, c := range nd.Body.List {
-					if cc, ok := c.(*ast.CommClause); ok {
-						for _, st := range cc.Body {
-							scan(st, noBlock)
-						}
+					cc := c.(*ast.CommClause)
+					if cc.Comm != nil {
+						scan(cc.Comm, true)
+					}
+					for _, st := range cc.Body {
+						scan(st, noBlock)
 					}
 				}
 				return false
 			case *ast.RangeStmt:
-				t := info.Types[nd.X].Type
-				if t != nil {
-					if _, isChan := t.Underlying().(*types.Chan); isChan && !noBlock {
-						s.setBlocking(nd.Pos(), "range over channel", nil)
-						s.setUnguarded(nd.Pos(), "range over channel", nil)
-					}
-					if _, isMap := t.Underlying().(*types.Map); isMap {
-						for _, h := range mapRangeHazards(info, nd) {
-							s.setEffect(effMapOrder, h.pos, h.what, nil)
-							break
-						}
-					}
+				if isMap(info, nd.X) {
+					ds.effects[effMapOrder] = append(ds.effects[effMapOrder], mapRangeHazards(info, nd)...)
 				}
 			case *ast.AssignStmt:
 				for _, lhs := range nd.Lhs {
-					if pos, name, ok := writesPackageLevel(info, lhs); ok {
-						s.setEffect(effGlobal, pos, "writes package-level var "+name, nil)
-					}
+					ds.globalWrite(info, lhs)
 				}
 			case *ast.IncDecStmt:
-				if pos, name, ok := writesPackageLevel(info, nd.X); ok {
-					s.setEffect(effGlobal, pos, "writes package-level var "+name, nil)
-				}
+				ds.globalWrite(info, nd.X)
 			case *ast.CompositeLit:
-				if w, ok := allocatingLiteral(info, nd); ok {
-					s.setAlloc(nd.Pos(), w, nil)
+				if what, ok := allocatingLiteral(info, nd); ok {
+					ds.allocs = append(ds.allocs, site{pos: nd.Pos(), what: what})
 				}
 			case *ast.CallExpr:
-				scanDirectCall(n, s, nd, noBlock)
+				ds.call(info, nd)
 			}
 			return true
 		})
 	}
-	scan(n.decl.Body, false)
+	scan(root, false)
+	return ds
 }
 
-// scanDirectCall classifies one call site for the DIRECT facts it
-// establishes: builtin allocators and the curated external tables.
-// In-Program callees are merged separately (mergeCallee).
-func scanDirectCall(n *fnode, s *Summary, call *ast.CallExpr, noBlock bool) {
-	info := n.pkg.TypesInfo
+// builtinAllocs names the allocating builtins.
+var builtinAllocs = map[string]string{"append": "append growth", "make": "make", "new": "new"}
+
+// call records one call's direct allocations and nondeterministic
+// effects: allocating builtins, fmt (interface boxing), wall-clock reads
+// and the global math/rand stream. In-Program callees are merged
+// separately (mergeCallee); other external calls are assumed pure and
+// allocation-free — the standard library is loaded API-only, and this
+// table covers the calls that matter (DESIGN.md §15).
+func (ds *directSites) call(info *types.Info, call *ast.CallExpr) {
 	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
 		if b, isB := info.Uses[id].(*types.Builtin); isB {
-			switch b.Name() {
-			case "append":
-				s.setAlloc(call.Pos(), "append growth", nil)
-			case "make":
-				s.setAlloc(call.Pos(), "make", nil)
-			case "new":
-				s.setAlloc(call.Pos(), "new", nil)
+			if what := builtinAllocs[b.Name()]; what != "" {
+				ds.allocs = append(ds.allocs, site{pos: call.Pos(), what: what})
 			}
 			return
 		}
 	}
-	pkgPath, funcName, isPkgFn := pkgFuncOf(info, call)
-	if isPkgFn {
-		switch {
-		case pkgPath == "time" && (funcName == "Now" || funcName == "Since" || funcName == "Until"):
-			s.setEffect(effTime, call.Pos(), "time."+funcName+"()", nil)
-		case pkgPath == "math/rand" && globalRandFns[funcName]:
-			s.setEffect(effRand, call.Pos(), "rand."+funcName+" (global source)", nil)
-		case pkgPath == "time" && funcName == "Sleep":
-			if !noBlock {
-				s.setBlocking(call.Pos(), "time.Sleep", nil)
-				s.setUnguarded(call.Pos(), "time.Sleep", nil)
+	pkgPath, name, ok := pkgFuncOf(info, call)
+	switch {
+	case !ok:
+	case pkgPath == "time" && (name == "Now" || name == "Since" || name == "Until"):
+		ds.effects[effTime] = append(ds.effects[effTime], site{pos: call.Pos(), what: "time." + name + "()", arg: name})
+	case pkgPath == "math/rand" && globalRandFns[name]:
+		ds.effects[effRand] = append(ds.effects[effRand], site{pos: call.Pos(), what: "rand." + name + " (global source)", arg: name})
+	case pkgPath == "fmt":
+		ds.allocs = append(ds.allocs, site{pos: call.Pos(), what: "fmt." + name + " (interface boxing)"})
+	}
+}
+
+// globalWrite records lhs when it writes a package-level variable.
+func (ds *directSites) globalWrite(info *types.Info, lhs ast.Expr) {
+	if pos, name, ok := writesPackageLevel(info, lhs); ok {
+		ds.effects[effGlobal] = append(ds.effects[effGlobal], site{pos: pos, what: "writes package-level var " + name})
+	}
+}
+
+// parkingOp classifies one node as an operation that may park the
+// goroutine — for the direct scan and the lock walk alike: channel
+// sends and receives, range over a channel, a select without default,
+// time.Sleep, HTTP round trips (the net/http helpers and http.Client
+// methods), and sync WaitGroup/Cond waits (join).
+func parkingOp(info *types.Info, nd ast.Node) (what string, join, ok bool) {
+	switch nd := nd.(type) {
+	case *ast.SendStmt:
+		return "channel send", false, true
+	case *ast.UnaryExpr:
+		return "channel receive", false, nd.Op == token.ARROW
+	case *ast.SelectStmt:
+		return "select without default", false, !hasDefaultClause(nd.Body)
+	case *ast.RangeStmt:
+		if t := info.Types[nd.X].Type; t != nil {
+			_, isChan := t.Underlying().(*types.Chan)
+			return "range over channel", false, isChan
+		}
+	case *ast.CallExpr:
+		if pkgPath, name, isPkgFn := pkgFuncOf(info, nd); isPkgFn {
+			switch {
+			case pkgPath == "time" && name == "Sleep":
+				return "time.Sleep", false, true
+			case pkgPath == "net/http" && blockingHTTPFns[name]:
+				return "http." + name, false, true
 			}
-		case pkgPath == "fmt":
-			s.setAlloc(call.Pos(), "fmt."+funcName+" (formats through interface boxing)", nil)
-		case pkgPath == "net/http" && blockingHTTPFns[funcName]:
-			if !noBlock {
-				s.setBlocking(call.Pos(), "http."+funcName, nil)
-				s.setUnguarded(call.Pos(), "http."+funcName, nil)
-			}
+			return "", false, false
 		}
-		return
-	}
-	// External method calls: http.Client round trips and sync waits.
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	recv := receiverType(info, sel)
-	switch sel.Sel.Name {
-	case "Do", "Get", "Post", "PostForm", "Head":
-		if recv != nil && types.TypeString(recv, nil) == "net/http.Client" && !noBlock {
-			s.setBlocking(call.Pos(), "http.Client."+sel.Sel.Name, nil)
-			s.setUnguarded(call.Pos(), "http.Client."+sel.Sel.Name, nil)
+		sel, isSel := unparen(nd.Fun).(*ast.SelectorExpr)
+		if !isSel {
+			return "", false, false
 		}
-	case "Wait":
-		// WaitGroup/Cond waits count as blocking (lockheld's concern)
-		// but NOT as unguarded blocking: a join on workers that carry
-		// the ctx themselves is the blessed fan-out shape (par.ForEach),
-		// and flagging it would punish exactly the code PR 3 fixed.
-		if isSyncWaitType(recv) && !noBlock {
-			s.setBlocking(call.Pos(), "sync "+exprText(sel.X)+".Wait", nil)
+		recv := receiverType(info, sel)
+		switch name := sel.Sel.Name; {
+		case name == "Wait" && isSyncWaitType(recv):
+			return "sync " + exprText(sel.X) + ".Wait", true, true
+		case (name == "Do" || blockingHTTPFns[name]) && recv != nil && types.TypeString(recv, nil) == "net/http.Client":
+			return "http.Client." + name, false, true
 		}
 	}
+	return "", false, false
 }
 
 // mergeCallee unions a resolved in-Program callee's summary into the
@@ -380,20 +403,6 @@ func mergeCallee(s *Summary, cs callSite, callee *Summary) {
 	// edge exactly one owning package to report (and waive) in.
 }
 
-// mergeExternal folds the curated classification of an out-of-Program
-// callee into the caller. Unknown externals are assumed pure,
-// non-blocking and allocation-free: the standard library is loaded
-// API-only, and the tables in scanDirectCall cover the calls that
-// matter. This is the documented soundness boundary (DESIGN.md §15).
-func mergeExternal(pkg *Package, s *Summary, cs callSite) {
-	// Everything external that needs classification is recognized
-	// syntactically in scanDirect (pkg.Func shapes and method names), so
-	// nothing further to do here; the hook exists so a future
-	// export-data loader can consult real summaries.
-	_ = pkg
-	_ = cs
-}
-
 func (s *Summary) setEffect(kind int, pos token.Pos, what string, via *types.Func) {
 	if s.effects[kind] == nil {
 		s.effects[kind] = &witness{pos: pos, what: what, via: via}
@@ -421,19 +430,30 @@ func (s *Summary) setAlloc(pos token.Pos, what string, via *types.Func) {
 	}
 }
 
-// lockWalk runs the flow walker over n's body tracking may-held lock
-// classes, recording acquisitions and order edges into the summary.
-// Callee acquisitions (from the current summaries) establish edges too:
-// holding A while calling a function that takes B is an A→B edge even
-// though no Lock() appears here — the cross-file case lockheld misses.
+// A heldBlock is a parking operation the lock walk reached while locks
+// may be held — one lockheld finding.
+type heldBlock struct {
+	pos   token.Pos
+	what  string // parkingOp's text: "channel send", "sync g.wg.Wait", …
+	locks string // the may-held lock expressions, sorted: "g.mu, g.rw"
+}
+
+// lockWalk runs the flow walker over n's body tracking the locks that
+// may be held. It records the lock classes n acquires and the order
+// edges it establishes (lockorder), and every parking operation reached
+// with a lock held (lockheld). Callee acquisitions (from the current
+// summaries) establish edges too: holding A while calling a function
+// that takes B is an A→B edge even though no Lock() appears here. Held
+// sets never depend on callee summaries, so each walk rebuilds the same
+// heldBlocks list.
 func lockWalk(prog *Program, n *fnode) {
-	v := &lockOrderVisitor{prog: prog, n: n, s: n.sum}
+	v := &lockVisitor{prog: prog, info: n.pkg.TypesInfo, s: n.sum}
+	n.sum.heldBlocks = n.sum.heldBlocks[:0]
 	walkFlow(n.decl.Body, v)
 	// Function literals hold no caller locks at entry (they run on their
-	// own activation), but their own acquisitions and edges belong to
-	// this declaration. Descend fully so nested literals get their own
-	// walk too (re-walking an outer literal's straight-line statements is
-	// idempotent: fact insertion and witness recording are set-like).
+	// own activation), but their own acquisitions, edges and held blocks
+	// belong to this declaration. Every literal, nested ones included,
+	// gets its own walk from an empty held set.
 	ast.Inspect(n.decl.Body, func(nd ast.Node) bool {
 		if lit, ok := nd.(*ast.FuncLit); ok {
 			walkFlow(lit.Body, v)
@@ -442,52 +462,55 @@ func lockWalk(prog *Program, n *fnode) {
 	})
 }
 
-// lockOrderVisitor is the flowVisitor computing lock classes and order
-// edges. Facts are keyed by lock class (lockClassOf).
-type lockOrderVisitor struct {
+// lockVisitor is lockWalk's flowVisitor. A held fact is keyed by the
+// lock expression and its class, "g.mu\x00cloud.group.mu": the
+// expression names the lock in lockheld's message and lets an Unlock
+// release only the receiver it names; the class forms order edges.
+type lockVisitor struct {
 	prog *Program
-	n    *fnode
+	info *types.Info
 	s    *Summary
 }
 
-func (v *lockOrderVisitor) transfer(stmt ast.Stmt, facts factSet) {
+func (v *lockVisitor) transfer(stmt ast.Stmt, held factSet) {
 	switch stmt.(type) {
 	case *ast.DeferStmt, *ast.GoStmt:
-		// defer unlocks run at exit (lock stays held — facts untouched);
-		// go bodies run elsewhere and are walked separately.
+		// A deferred unlock runs at exit: the lock stays held, and a
+		// later block still counts. Go bodies run elsewhere and are
+		// walked separately.
 		return
 	}
+	v.parks(stmt, held)
 	inspectShallow(headerExprs(stmt), func(nd ast.Node) bool {
-		call, ok := nd.(*ast.CallExpr)
-		if !ok {
-			return true
+		v.parks(nd, held)
+		if call, ok := nd.(*ast.CallExpr); ok {
+			v.transferCall(call, held)
 		}
-		v.transferCall(call, facts)
 		return true
 	})
 }
 
-func (v *lockOrderVisitor) transferCall(call *ast.CallExpr, facts factSet) {
-	info := v.n.pkg.TypesInfo
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
-		recv := receiverType(info, sel)
-		if isMutexType(recv) {
-			class, ok := lockClassOf(info, sel.X)
-			if !ok {
-				return
+func (v *lockVisitor) transferCall(call *ast.CallExpr, held factSet) {
+	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && isMutexType(receiverType(v.info, sel)) {
+		class, _ := lockClassOf(v.info, sel.X)
+		key := exprText(sel.X) + "\x00" + class
+		switch sel.Sel.Name {
+		case "Lock", "RLock":
+			v.acquire(class, call.Pos(), held, nil)
+			if _, ok := held[key]; !ok {
+				held[key] = call.Pos()
 			}
-			switch sel.Sel.Name {
-			case "Lock", "RLock":
-				v.acquire(class, call.Pos(), facts, nil)
-			case "Unlock", "RUnlock":
-				delete(facts, class)
-			}
-			return
+		case "Unlock", "RUnlock":
+			delete(held, key)
 		}
+		return
 	}
 	// A call to a summarized function that itself acquires locks
-	// establishes order edges from everything held here.
-	callee := resolveCallee(info, call)
+	// establishes order edges from everything held here. The class does
+	// NOT become held: a summarized callee is assumed to release what it
+	// takes (unbalanced lock helpers lose follow-on edges; a conservative
+	// miss, never a false edge).
+	callee := resolveCallee(v.info, call)
 	if callee == nil {
 		return
 	}
@@ -495,60 +518,55 @@ func (v *lockOrderVisitor) transferCall(call *ast.CallExpr, facts factSet) {
 	if target == nil || target.sum == nil {
 		return
 	}
-	for _, class := range sortedWitnessKeyList(target.sum.acquires) {
-		v.acquireTransitive(class, call.Pos(), facts, callee)
+	for _, class := range sortedKeys(target.sum.acquires) {
+		v.acquire(class, call.Pos(), held, callee)
 	}
 }
 
-// acquire records taking `class` with `held` currently held: the class
-// joins the summary's acquire set and every held→class pair becomes an
-// order edge. The class then becomes held.
-func (v *lockOrderVisitor) acquire(class string, pos token.Pos, held factSet, via *types.Func) {
+// acquire records taking lock class `class` with `held` currently held:
+// the class joins the summary's acquire set and every held→class pair
+// becomes an order edge. An unresolved class ("") records nothing.
+func (v *lockVisitor) acquire(class string, pos token.Pos, held factSet, via *types.Func) {
+	if class == "" {
+		return
+	}
 	if v.s.acquires[class] == nil {
 		v.s.acquires[class] = &witness{pos: pos, what: class, via: via}
 	}
-	v.addEdges(class, pos, held, via)
-	if _, ok := held[class]; !ok {
-		held[class] = pos
-	}
-}
-
-// acquireTransitive records a callee's acquisition: edges are formed
-// from the caller's held set, but the class does NOT become held here —
-// a summarized callee is assumed to release what it takes (unbalanced
-// lock helpers lose follow-on edges; a conservative miss, never a false
-// edge).
-func (v *lockOrderVisitor) acquireTransitive(class string, pos token.Pos, held factSet, via *types.Func) {
-	if v.s.acquires[class] == nil {
-		v.s.acquires[class] = &witness{pos: pos, what: class, via: via}
-	}
-	v.addEdges(class, pos, held, via)
-}
-
-func (v *lockOrderVisitor) addEdges(class string, pos token.Pos, held factSet, via *types.Func) {
-	for heldClass := range held {
-		if heldClass == class {
+	for key := range held {
+		from := key[strings.IndexByte(key, 0)+1:]
+		if from == "" || from == class {
 			continue // re-entry is lockheld/runtime territory, not an order edge
 		}
-		key := heldClass + "\x00" + class
-		if v.s.lockEdges[key] == nil {
-			v.s.lockEdges[key] = &witness{pos: pos, what: heldClass + " -> " + class, via: via}
+		edge := from + "\x00" + class
+		if v.s.lockEdges[edge] == nil {
+			v.s.lockEdges[edge] = &witness{pos: pos, what: from + " -> " + class, via: via}
 		}
 	}
 }
 
-// sortedWitnessKeyList returns the map's keys sorted, for deterministic
-// edge formation order.
-func sortedWitnessKeyList(m map[string]*witness) []string {
-	if len(m) == 0 {
-		return nil
+// parks records nd as a held block when it may park while a lock may be
+// held. Loop bodies are walked twice; the first record of a position
+// stands.
+func (v *lockVisitor) parks(nd ast.Node, held factSet) {
+	if len(held) == 0 {
+		return
 	}
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+	what, _, ok := parkingOp(v.info, nd)
+	if !ok {
+		return
 	}
-	sort.Strings(out)
-	return out
+	for _, b := range v.s.heldBlocks {
+		if b.pos == nd.Pos() {
+			return
+		}
+	}
+	locks := make([]string, 0, len(held))
+	for key := range held {
+		locks = append(locks, key[:strings.IndexByte(key, 0)])
+	}
+	sort.Strings(locks)
+	v.s.heldBlocks = append(v.s.heldBlocks, heldBlock{pos: nd.Pos(), what: what, locks: strings.Join(slices.Compact(locks), ", ")})
 }
 
 // lockClassOf canonicalizes a lock expression to a stable class name:
@@ -686,56 +704,54 @@ func writesPackageLevel(info *types.Info, lhs ast.Expr) (token.Pos, string, bool
 	return root.Pos(), v.Name(), true
 }
 
-// mapRangeHazard is one order-dependent fold found inside a map range.
-type mapRangeHazard struct {
-	pos  token.Pos
-	what string
-}
-
-// mapRangeHazards is the info-based core of detcheck's map-range rule,
-// shared with the summary builder: appends and float accumulation into
-// state declared outside a range-over-map observe iteration order.
-// Integer tallies and map-index copies stay silent (commutative /
-// order-blind), matching detcheck exactly so puritycert never
-// contradicts the intra-procedural analyzer.
-func mapRangeHazards(info *types.Info, rng *ast.RangeStmt) []mapRangeHazard {
-	var out []mapRangeHazard
+// mapRangeHazards lists the order-dependent folds inside a range over a
+// map: appends and float accumulation into state declared outside the
+// loop observe iteration order. Integer tallies (commutative) and
+// map-index copies (order-blind) stay silent — metrics.LabeledCounter's
+// Total and Snapshot are the canonical clean cases.
+func mapRangeHazards(info *types.Info, rng *ast.RangeStmt) []site {
+	// outside: the lvalue's root is declared outside the range (a
+	// loop-local accumulator, reset every iteration, cannot observe
+	// cross-iteration order) and is not a map element.
+	outside := func(lhs ast.Expr) bool {
+		lhs = unparen(lhs)
+		if idx, ok := lhs.(*ast.IndexExpr); ok && isMap(info, idx.X) {
+			return false
+		}
+		root := rootIdent(lhs)
+		if root == nil {
+			return false
+		}
+		obj := info.Uses[root]
+		if obj == nil {
+			obj = info.Defs[root]
+		}
+		return obj != nil && (obj.Pos() < rng.Pos() || obj.Pos() > rng.End())
+	}
+	var out []site
 	ast.Inspect(rng.Body, func(nd ast.Node) bool {
 		assign, ok := nd.(*ast.AssignStmt)
 		if !ok {
 			return true
 		}
-		switch assign.Tok {
-		case token.ASSIGN:
-			for i, lhs := range assign.Lhs {
-				if i >= len(assign.Rhs) {
-					break
+		for i, lhs := range assign.Lhs {
+			verb := ""
+			switch assign.Tok {
+			case token.ASSIGN:
+				if i < len(assign.Rhs) {
+					if call, ok := unparen(assign.Rhs[i]).(*ast.CallExpr); ok {
+						if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "append" {
+							verb = "append"
+						}
+					}
 				}
-				call, ok := unparen(assign.Rhs[i]).(*ast.CallExpr)
-				if !ok {
-					continue
-				}
-				if id, ok := call.Fun.(*ast.Ident); !ok || id.Name != "append" {
-					continue
-				}
-				if infoDeclaredOutside(info, lhs, rng) {
-					out = append(out, mapRangeHazard{assign.Pos(),
-						"append into " + exprText(lhs) + " while ranging a map"})
+			case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN:
+				if isFloat(info, lhs) {
+					verb = "float accumulation"
 				}
 			}
-		case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN:
-			for _, lhs := range assign.Lhs {
-				t := info.Types[lhs].Type
-				if t == nil {
-					continue
-				}
-				if b, ok := t.Underlying().(*types.Basic); !ok || b.Info()&types.IsFloat == 0 {
-					continue
-				}
-				if infoDeclaredOutside(info, lhs, rng) {
-					out = append(out, mapRangeHazard{assign.Pos(),
-						"float accumulation into " + exprText(lhs) + " while ranging a map"})
-				}
+			if verb != "" && outside(lhs) {
+				out = append(out, site{pos: assign.Pos(), what: verb + " into " + exprText(lhs) + " while ranging a map", arg: exprText(lhs)})
 			}
 		}
 		return true
@@ -743,33 +759,8 @@ func mapRangeHazards(info *types.Info, rng *ast.RangeStmt) []mapRangeHazard {
 	return out
 }
 
-// infoDeclaredOutside mirrors detcheck's declaredOutside without the
-// *Pass dependency.
-func infoDeclaredOutside(info *types.Info, lhs ast.Expr, rng *ast.RangeStmt) bool {
-	lhs = unparen(lhs)
-	if idx, ok := lhs.(*ast.IndexExpr); ok {
-		if t := info.Types[idx.X].Type; t != nil {
-			if _, isMap := t.Underlying().(*types.Map); isMap {
-				return false
-			}
-		}
-	}
-	root := rootIdent(lhs)
-	if root == nil {
-		return false
-	}
-	obj := info.Uses[root]
-	if obj == nil {
-		obj = info.Defs[root]
-	}
-	if obj == nil {
-		return false
-	}
-	return obj.Pos() < rng.Pos() || obj.Pos() > rng.End()
-}
-
-// pkgFuncOf is calledPackageFunc without the *Pass dependency, shared by
-// the summary builder.
+// pkgFuncOf resolves a call of the form pkg.Func to the imported
+// package's path and the function name.
 func pkgFuncOf(info *types.Info, call *ast.CallExpr) (pkgPath, funcName string, ok bool) {
 	sel, ok2 := unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok2 {
@@ -865,8 +856,8 @@ func (p *Program) Summaries() []FuncSummary {
 				fs.Effects = append(fs.Effects, effectNames[i])
 			}
 		}
-		fs.Acquires = sortedWitnessKeyList(s.acquires)
-		for _, key := range sortedWitnessKeyList(s.lockEdges) {
+		fs.Acquires = sortedKeys(s.acquires)
+		for _, key := range sortedKeys(s.lockEdges) {
 			fs.LockEdges = append(fs.LockEdges, strings.ReplaceAll(key, "\x00", " -> "))
 		}
 		out = append(out, fs)

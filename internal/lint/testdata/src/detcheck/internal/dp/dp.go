@@ -89,6 +89,14 @@ func stamp() int64 {
 	return time.Now().UnixNano() // want `time\.Now\(\) in pure solver package dp`
 }
 
+// elapsed flags twice: every wall-clock read is its own finding, not
+// just the first one in the function.
+func elapsed() time.Duration {
+	start := time.Now() // want `time\.Now\(\) in pure solver package dp`
+	end := time.Now()   // want `time\.Now\(\) in pure solver package dp`
+	return end.Sub(start)
+}
+
 // seededDraw passes: an explicitly seeded local source is deterministic.
 func seededDraw(seed int64) float64 {
 	rng := rand.New(rand.NewSource(seed))

@@ -120,3 +120,12 @@ func (g *group) loopLock(keys []string) {
 		g.mu.Unlock()
 	}
 }
+
+// twoReceivers flags: releasing b.mu does not release a.mu, even though
+// both locks are the same field of the same type.
+func twoReceivers(a, b *group) {
+	a.mu.Lock()
+	b.mu.Unlock()
+	<-a.ch // want `channel receive while a\.mu may still be held`
+	a.mu.Unlock()
+}

@@ -225,6 +225,7 @@ func (ts *trainState) gradRows(li, lo, hi int) {
 // outputDelta computes the output-layer δ = (y − t) ⊙ act'(y) and folds
 // each sample's ½Σe² loss into the running epoch loss, sample by sample in
 // batch order (the same accumulation sequence as the per-sample loop).
+//
 //lint:hot
 func (ts *trainState) outputDelta(epochLoss float64) float64 {
 	li := len(ts.n.Layers) - 1
