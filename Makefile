@@ -73,10 +73,11 @@ bench-verify:
 	cd servebench && $(GO) vet . && $(GO) test .
 
 # Robustness smoke: the fault-injected chaos tests (degradation ladder,
-# shedding + client retry, panic recovery, coalescing under cancellation)
-# plus the DP cancellation contract, all under the race detector.
+# shedding + client retry, panic recovery, coalescing under cancellation,
+# racing first hits on one cache entry's encoded-hit memo) plus the DP
+# cancellation contract, all under the race detector.
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos|Ctx|Cancel|Shed|Degrade|Graceful|Drain' \
+	$(GO) test -race -count=1 -run 'Chaos|Ctx|Cancel|Shed|Degrade|Graceful|Drain|FirstHit' \
 		./internal/cloud ./internal/dp ./cmd/cloudd
 
 # Cluster robustness smoke (DESIGN.md §13): the membership primitives

@@ -268,9 +268,9 @@ type Server struct {
 	cfg      ServerConfig
 	mu       sync.Mutex
 	routes   map[string]*road.Route
-	cache    map[string]*Response
+	cache    map[string]*cacheEntry
 	order    []string // FIFO eviction order
-	inflight flight[string, *Response]
+	inflight flight[string, *cacheEntry]
 
 	// segTables holds completed segment-table builds per route name;
 	// tableBuilds coalesces concurrent builds the way inflight coalesces
@@ -385,14 +385,14 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		routes:    map[string]*road.Route{"us25": road.US25()},
-		cache:     make(map[string]*Response),
+		cache:     make(map[string]*cacheEntry),
 		segTables: make(map[string]*dp.RouteTables),
 		latency:   metrics.NewLatencyHistogram(),
 	}
-	s.inflight = flight[string, *Response]{mu: &s.mu,
-		hit: func(key string) (*Response, bool) {
-			resp, ok := s.cache[key]
-			return resp, ok
+	s.inflight = flight[string, *cacheEntry]{mu: &s.mu,
+		hit: func(key string) (*cacheEntry, bool) {
+			e, ok := s.cache[key]
+			return e, ok
 		},
 		publish: s.cacheStore,
 	}
@@ -540,7 +540,7 @@ func (s *Server) withLatency(next http.Handler) http.Handler {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReady serves GET /v1/ready — readiness, distinct from liveness:
@@ -550,14 +550,14 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // draining.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		s.writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
 	if pg := s.peers; pg != nil && !pg.clusterReady() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "joining"})
+		s.writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "joining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 // handleTablesGet serves GET /v1/tables/{routeKey}: the route's segment
@@ -631,18 +631,18 @@ func (s *Server) handleTablesPut(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	pg.replRecv.Inc()
-	writeJSON(w, http.StatusOK, map[string]string{"status": "stored"})
+	s.writeJSON(w, http.StatusOK, map[string]string{"status": "stored"})
 }
 
 func (s *Server) handleRoutes(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	names := stable.SortedKeys(s.routes)
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string][]string{"routes": names})
+	s.writeJSON(w, http.StatusOK, map[string][]string{"routes": names})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, Stats{
+	s.writeJSON(w, http.StatusOK, Stats{
 		Requests:         s.requests.Value(),
 		CacheHits:        s.cacheHits.Value(),
 		Errors:           s.errs.Value(),
@@ -735,42 +735,54 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	// is forwarded to its acting owner; any forwarding trouble (loop guard,
 	// open breaker, owner unreachable) falls through to local serving.
 	if fwd := s.forwardOptimize(r.Context(), req, r.Header.Get(ForwardedByHeader)); fwd != nil {
-		writeJSON(w, http.StatusOK, fwd)
+		s.writeJSON(w, http.StatusOK, fwd)
 		return
 	}
 
-	resp, err := s.optimizeCached(r.Context(), route, req)
+	e, hit, err := s.optimizeCached(r.Context(), route, req)
 	if err != nil {
 		s.optimizeError(w, err)
 		return
 	}
-	if pg := s.peers; pg != nil {
-		// Annotate a copy: resp may alias a cache entry shared with
-		// concurrent readers.
-		out := *resp
+	switch pg := s.peers; {
+	case pg != nil:
+		// Annotate a copy: e.resp is shared with concurrent readers. The
+		// memo holds the hit form without servedBy, so a clustered
+		// answer is marshalled whole.
+		out := *e.resp
+		out.Cached = out.Cached || hit
 		out.ServedBy = pg.self
-		writeJSON(w, http.StatusOK, &out)
-		return
+		s.writeJSON(w, http.StatusOK, &out)
+	case hit:
+		s.writeHit(w, e)
+	default:
+		s.writeJSON(w, http.StatusOK, e.resp)
 	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // optimizeCached serves one optimize request through the full serving
 // stack: response cache, in-flight coalescing (with leader re-election),
 // then the degradation-laddered solve. Every compute path — single
 // optimize, advise sweeps and batch items — goes through here, so they all
-// warm and hit the same cache.
-func (s *Server) optimizeCached(ctx context.Context, route *road.Route, req Request) (*Response, error) {
-	resp, fresh, err := s.inflight.do(ctx, s.cacheKey(req), func() (*Response, error) {
-		return s.optimize(ctx, route, req)
+// warm and hit the same cache. hit reports an answer this call did not
+// compute — a cache entry or a coalesced leader's result — which is served
+// in its hit form (Cached set, DESIGN.md §8); the entry's response itself
+// is shared and must not be modified.
+func (s *Server) optimizeCached(ctx context.Context, route *road.Route, req Request) (e *cacheEntry, hit bool, err error) {
+	e, fresh, err := s.inflight.do(ctx, s.cacheKey(req), func() (*cacheEntry, error) {
+		resp, err := s.optimize(ctx, route, req)
+		if err != nil {
+			return nil, err
+		}
+		return &cacheEntry{resp: resp}, nil
 	})
-	if err != nil || fresh {
-		return resp, err
+	if err != nil {
+		return nil, false, err
 	}
-	s.cacheHits.Inc()
-	cached := *resp
-	cached.Cached = true
-	return &cached, nil
+	if !fresh {
+		s.cacheHits.Inc()
+	}
+	return e, !fresh, nil
 }
 
 // cacheStore caches a freshly computed response, evicting FIFO at
@@ -778,15 +790,15 @@ func (s *Server) optimizeCached(ctx context.Context, route *road.Route, req Requ
 // cached: the condition that forced the degradation is transient, and a
 // cached degraded plan would keep serving the inferior baseline after the
 // optimizer recovered.
-func (s *Server) cacheStore(key string, resp *Response) {
-	if resp.Degraded {
+func (s *Server) cacheStore(key string, e *cacheEntry) {
+	if e.resp.Degraded {
 		return
 	}
 	if len(s.cache) >= s.cfg.MaxCacheEntries && len(s.order) > 0 {
 		delete(s.cache, s.order[0])
 		s.order = s.order[1:]
 	}
-	s.cache[key] = resp
+	s.cache[key] = e
 	s.order = append(s.order, key)
 }
 
@@ -914,10 +926,10 @@ func (s *Server) staleFor(req Request) *Response {
 	for i := len(s.order) - 1; i >= 0; i-- {
 		k := s.order[i]
 		if strings.HasPrefix(k, samePrefix) {
-			return s.cache[k]
+			return s.cache[k].resp
 		}
 		if anyHit == nil && strings.HasPrefix(k, anyPrefix) {
-			anyHit = s.cache[k]
+			anyHit = s.cache[k].resp
 		}
 	}
 	return anyHit
@@ -1060,14 +1072,7 @@ func (s *Server) routeTables(ctx context.Context, name string, cfg dp.Config) (*
 
 func (s *Server) fail(w http.ResponseWriter, code int, msg string) {
 	s.errs.Inc()
-	writeJSON(w, code, map[string]string{"error": msg})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	// Encoding errors past the header cannot be reported to the client.
-	_ = json.NewEncoder(w).Encode(v)
+	s.writeJSON(w, code, map[string]string{"error": msg})
 }
 
 // AdviseRequest asks the cloud when to depart within a window.
@@ -1160,7 +1165,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		// float-accumulation class dp.SweepDepartures was cured of).
 		depart := req.EarliestDepart + float64(i)*req.StepSec
 		one.DepartTime = depart
-		got, err := s.optimizeCached(ctx, route, one)
+		e, _, err := s.optimizeCached(ctx, route, one)
 		if err != nil {
 			if isCtxErr(err) {
 				s.failRetryable(w, fmt.Sprintf("advise sweep ran out of time at depart %.0f s: %v", depart, err))
@@ -1169,6 +1174,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, http.StatusUnprocessableEntity, fmt.Sprintf("depart %.0f s: %v", depart, err))
 			return
 		}
+		got := e.resp
 		if got.Degraded {
 			resp.Degraded = true
 		}
@@ -1185,7 +1191,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp.Best = resp.Options[bestIdx]
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // BatchRequest carries a fleet's worth of optimize requests in one call.
@@ -1228,27 +1234,33 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx := r.Context()
-	out := BatchResponse{Results: make([]BatchItem, len(breq.Requests))}
+	items := make([]BatchItem, len(breq.Requests))
+	hits := make([][]byte, len(breq.Requests)) // memoized hit encodings
 	// The whole batch holds one admission slot; its internal fan-out is
 	// bounded separately so a single big batch cannot seize every core.
 	_ = par.ForEach(runtime.GOMAXPROCS(0), len(breq.Requests), func(i int) error {
 		req := breq.Requests[i]
 		s.batchItems.Inc()
 		if code, msg := normalizeOptimize(&req); code != 0 {
-			out.Results[i] = BatchItem{Error: msg}
+			items[i] = BatchItem{Error: msg}
 			return nil
 		}
 		route, ok := s.lookupRoute(req.Route)
 		if !ok {
-			out.Results[i] = BatchItem{Error: fmt.Sprintf("unknown route %q", req.Route)}
+			items[i] = BatchItem{Error: fmt.Sprintf("unknown route %q", req.Route)}
 			return nil
 		}
-		resp, err := s.optimizeCached(ctx, route, req)
-		if err != nil {
-			out.Results[i] = BatchItem{Error: err.Error()}
-			return nil
+		e, hit, err := s.optimizeCached(ctx, route, req)
+		switch {
+		case err != nil:
+			items[i] = BatchItem{Error: err.Error()}
+		case hit:
+			if hits[i], err = e.hitJSON(); err != nil {
+				items[i] = BatchItem{Error: encodeError(err)}
+			}
+		default:
+			items[i] = BatchItem{Response: e.resp}
 		}
-		out.Results[i] = BatchItem{Response: resp}
 		return nil
 	})
 	if ctx.Err() != nil {
@@ -1257,7 +1269,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.failRetryable(w, "batch abandoned: "+ctx.Err().Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, &out)
+	s.writeBatch(w, items, hits)
 }
 
 // ToProfile converts a Response's trajectory back into a profile.Profile.

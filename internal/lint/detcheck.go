@@ -163,7 +163,7 @@ func checkTopLevelRand(pass *Pass, gd *ast.GenDecl) {
 func checkMapRangeSerialization(pass *Pass, rng *ast.RangeStmt) {
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
-			if name, ok := serializationSink(pass, call); ok {
+			if name, ok := streamSink(pass.TypesInfo, call, serializationMethods); ok {
 				pass.Reportf(call.Pos(),
 					"%s inside a map range serializes entries in nondeterministic order; iterate stable.SortedKeys first (internal/stable)",
 					name)
@@ -173,11 +173,17 @@ func checkMapRangeSerialization(pass *Pass, rng *ast.RangeStmt) {
 	})
 }
 
-// serializationSink matches calls that emit entries to an ordered stream:
-// encoder Encode, writer Write/WriteString, and fmt.Fprint* (except to a
-// terminal stream, where ordering is cosmetic).
-func serializationSink(pass *Pass, call *ast.CallExpr) (string, bool) {
-	if pkgPath, funcName, ok := pkgFuncOf(pass.TypesInfo, call); ok {
+// serializationMethods are the method sinks that emit entries to an
+// ordered stream: encoder Encode, writer Write/WriteString.
+var serializationMethods = map[string]bool{"Encode": true, "Write": true, "WriteString": true}
+
+// streamSink matches a call that writes to an output stream and names it
+// for the diagnostic: fmt.Fprint/Fprintf/Fprintln to a writer other than
+// os.Stdout/os.Stderr (terminal output, where neither entry order nor a
+// lost error matters), or a method call — not a pkg.Func — named in
+// methods ("enc.Encode"). detcheck and errflow differ only in methods.
+func streamSink(info *types.Info, call *ast.CallExpr, methods map[string]bool) (string, bool) {
+	if pkgPath, funcName, ok := pkgFuncOf(info, call); ok {
 		if pkgPath == "fmt" && (funcName == "Fprint" || funcName == "Fprintf" || funcName == "Fprintln") &&
 			len(call.Args) > 0 && !isStdStream(call.Args[0]) {
 			return "fmt." + funcName, true
@@ -185,19 +191,13 @@ func serializationSink(pass *Pass, call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
+	if !ok || !methods[sel.Sel.Name] {
 		return "", false
 	}
-	switch sel.Sel.Name {
-	case "Encode", "Write", "WriteString":
-	default:
+	if _, isFn := info.Uses[sel.Sel].(*types.Func); !isFn {
 		return "", false
 	}
-	// Method calls only (not pkg.Func, handled above).
-	if _, isFn := pass.TypesInfo.Uses[sel.Sel].(*types.Func); !isFn {
-		return "", false
-	}
-	return "." + sel.Sel.Name, true
+	return exprText(sel.X) + "." + sel.Sel.Name, true
 }
 
 // isStdStream matches os.Stdout / os.Stderr.

@@ -59,7 +59,7 @@ func runErrFlow(pass *Pass) error {
 			if !ok {
 				return true
 			}
-			if name, ok := errFlowSink(pass, call); ok && callReturnsError(pass, call) {
+			if name, ok := streamSink(pass.TypesInfo, call, errFlowSinks); ok && callReturnsError(pass, call) {
 				pass.Reportf(call.Pos(),
 					"error from %s silently discarded at a wire boundary: handle it, or discard explicitly with `_ =` so the decision is visible",
 					name)
@@ -68,26 +68,6 @@ func runErrFlow(pass *Pass) error {
 		})
 	}
 	return nil
-}
-
-// errFlowSink classifies a call as a wire-boundary sink and names it for
-// the diagnostic.
-func errFlowSink(pass *Pass, call *ast.CallExpr) (string, bool) {
-	if pkgPath, funcName, ok := pkgFuncOf(pass.TypesInfo, call); ok {
-		if pkgPath == "fmt" && (funcName == "Fprint" || funcName == "Fprintf" || funcName == "Fprintln") &&
-			len(call.Args) > 0 && !isStdStream(call.Args[0]) {
-			return "fmt." + funcName, true
-		}
-		return "", false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !errFlowSinks[sel.Sel.Name] {
-		return "", false
-	}
-	if _, isFn := pass.TypesInfo.Uses[sel.Sel].(*types.Func); !isFn {
-		return "", false
-	}
-	return exprText(sel.X) + "." + sel.Sel.Name, true
 }
 
 // callReturnsError reports whether the call's result set includes an

@@ -283,9 +283,15 @@ func isLogFatalName(name string) bool {
 // headerExprs returns the expressions a statement evaluates itself —
 // before any nested statement runs — so visitors can scan compound
 // statement headers (an if condition, a range operand) without touching
-// the arms the walker will deliver separately.
+// the arms the walker will deliver separately. For a go or defer
+// statement that is the call's function value and arguments; the call
+// itself runs later or on another goroutine.
 func headerExprs(s ast.Stmt) []ast.Expr {
 	switch s := s.(type) {
+	case *ast.GoStmt:
+		return append([]ast.Expr{s.Call.Fun}, s.Call.Args...)
+	case *ast.DeferStmt:
+		return append([]ast.Expr{s.Call.Fun}, s.Call.Args...)
 	case *ast.IfStmt:
 		return []ast.Expr{s.Cond}
 	case *ast.ForStmt:

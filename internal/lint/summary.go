@@ -237,10 +237,12 @@ func (s *Summary) foldSites() {
 // scanSites is the suite's one classifier of per-site facts: a single
 // walk of root recording every parking operation, allocation,
 // nondeterministic call, order-dependent map fold and package-level
-// write. Function literals, go statements and a select's comm clauses
-// count for effects and allocations (they belong to whoever wrote
-// them) but not for blocking: a literal or a spawned call parks its own
-// goroutine, and a comm operation parks only through its select.
+// write. Function literals, a go statement's spawned call and a select's
+// comm clauses count for effects and allocations (they belong to whoever
+// wrote them) but not for blocking: a literal or a spawned call parks
+// its own goroutine, and a comm operation parks only through its select.
+// A go statement's function value and arguments are evaluated by the
+// caller, so they keep the enclosing mode: `go g(<-ch)` parks the caller.
 func scanSites(info *types.Info, root ast.Node) directSites {
 	var ds directSites
 	var scan func(node ast.Node, noBlock bool)
@@ -254,7 +256,11 @@ func scanSites(info *types.Info, root ast.Node) directSites {
 				scan(nd.Body, true)
 				return false
 			case *ast.GoStmt:
-				scan(nd.Call, true)
+				ds.call(info, nd.Call)
+				scan(nd.Call.Fun, noBlock)
+				for _, arg := range nd.Call.Args {
+					scan(arg, noBlock)
+				}
 				return false
 			case *ast.SelectStmt:
 				for _, c := range nd.Body.List {
@@ -472,14 +478,11 @@ type lockVisitor struct {
 	s    *Summary
 }
 
+// transfer checks what stmt evaluates itself. A go or defer statement's
+// call runs elsewhere or at exit (a deferred unlock keeps the lock held,
+// so a later block still counts); only its function value and arguments
+// are evaluated here, under whatever is held now.
 func (v *lockVisitor) transfer(stmt ast.Stmt, held factSet) {
-	switch stmt.(type) {
-	case *ast.DeferStmt, *ast.GoStmt:
-		// A deferred unlock runs at exit: the lock stays held, and a
-		// later block still counts. Go bodies run elsewhere and are
-		// walked separately.
-		return
-	}
 	v.parks(stmt, held)
 	inspectShallow(headerExprs(stmt), func(nd ast.Node) bool {
 		v.parks(nd, held)

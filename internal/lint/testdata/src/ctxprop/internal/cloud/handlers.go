@@ -102,6 +102,19 @@ func (s *Server) handleSpawn(ctx context.Context) {
 	go s.waitForSlot()
 }
 
+// handleSpawnArg spawns the consumer, but the go statement's argument
+// is received by the caller before the spawn: spawnArg parks the
+// request path.
+func (s *Server) handleSpawnArg(ctx context.Context) {
+	s.spawnArg() // want `holds the request context but calls \(\*cloud\.Server\)\.spawnArg, a context-less chain that may block \(channel receive`
+}
+
+func (s *Server) spawnArg() {
+	go s.consume(<-s.results)
+}
+
+func (s *Server) consume(n int) {}
+
 // handleJoin blocks on a WaitGroup join of workers that carry the ctx
 // themselves — the blessed bounded fan-out shape, excluded by design.
 func (s *Server) handleJoin(ctx context.Context) {

@@ -52,6 +52,33 @@ func (g *group) deferUnlockBlocking(req *http.Request) {
 	g.c.Do(req) // want `http\.Client\.Do while g\.mu may still be held`
 }
 
+// goArgWhileHeld flags: the spawned call runs elsewhere, but its
+// argument is received here, inside the critical section.
+func (g *group) goArgWhileHeld() {
+	g.mu.Lock()
+	go g.record(<-g.ch) // want `channel receive while g\.mu may still be held`
+	g.mu.Unlock()
+}
+
+// deferArgWhileHeld flags: a deferred call's argument is evaluated at
+// the defer statement, with the lock held.
+func (g *group) deferArgWhileHeld() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	defer g.record(<-g.ch) // want `channel receive while g\.mu may still be held`
+}
+
+// goSpawnsBlock passes: the send runs on the spawned goroutine.
+func (g *group) goSpawnsBlock() {
+	g.mu.Lock()
+	go g.send(1)
+	g.mu.Unlock()
+}
+
+func (g *group) record(n int) {}
+
+func (g *group) send(n int) { g.ch <- n }
+
 // waitWhileHeld flags: WaitGroup.Wait can park forever with the read
 // lock held.
 func (g *group) waitWhileHeld() {
