@@ -234,6 +234,23 @@ func TestChaosAllRungsDryReturns503(t *testing.T) {
 	}
 }
 
+// TestChaosBatchAllRungsDryReturns503: a batch whose items run out of
+// budget with nothing cached to serve stale is answered 503 + Retry-After
+// as a whole, like a single request, rather than with per-item timeouts.
+func TestChaosBatchAllRungsDryReturns503(t *testing.T) {
+	f, s, _ := newChaosServer(t, nil)
+	f.delayAll.Store(true)
+	rec := serveJSON(s.Handler(), "/v1/optimize/batch",
+		BatchRequest{Requests: []Request{{Route: "us25"}, {Route: "us25", DepartTime: 300}}}, "300")
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("status %d Retry-After %q, want 503 with Retry-After: %s",
+			rec.Code, rec.Header().Get("Retry-After"), rec.Body)
+	}
+	if !strings.Contains(rec.Body.String(), "batch abandoned") {
+		t.Fatalf("body %s, want the batch-abandoned error", rec.Body)
+	}
+}
+
 // TestChaosSheddingAndClientRetry: saturate the in-flight limit; excess
 // requests get 429 + Retry-After immediately, and the retrying client
 // rides the backoff to an eventual success.

@@ -148,11 +148,12 @@ func TestEncodedBodiesByteIdentical(t *testing.T) {
 	}}))
 
 	// Stale cache: every solve stalls past the deadline, so a new bucket is
-	// served the route's freshest cached plan. A batch's own deadline would
-	// abandon it first, so a batch item sees a stale answer only as the
-	// coalesced follower of a tighter-deadline single request.
+	// served the route's freshest cached plan — as a single request, as a
+	// stalled batch item whose batch deadline has passed by the time it is
+	// answered, and as the coalesced follower of a single request.
 	f.delayAll.Store(true)
 	staleRec := serveJSON(h, "/v1/optimize", at(400), "300")
+	staleItem := serveJSON(h, "/v1/optimize/batch", BatchRequest{Requests: []Request{at(7), at(410)}}, "300")
 	leader := make(chan *httptest.ResponseRecorder)
 	go func() { leader <- serveJSON(h, "/v1/optimize", at(405), "300") }()
 	for key := s.cacheKey(Request{Route: escRouteName, DepartTime: 405, Variant: VariantQueueAware}); ; {
@@ -171,13 +172,16 @@ func TestEncodedBodiesByteIdentical(t *testing.T) {
 	stale.Degraded, stale.DegradedReason = true, DegradedStaleCache
 	assertBody(t, "stale", staleRec, http.StatusOK, encodeRef(t, stale))
 	assertBody(t, "stale leader", staleLeader, http.StatusOK, encodeRef(t, stale))
+	assertBody(t, "stale batch item", staleItem, http.StatusOK, encodeRef(t, BatchResponse{Results: []BatchItem{
+		{Response: hitForm(e7.resp)}, {Response: stale},
+	}}))
 	assertBody(t, "stale batch", staleBatch, http.StatusOK, encodeRef(t, BatchResponse{Results: []BatchItem{
 		{Response: hitForm(e7.resp)}, {Response: stale},
 	}}))
 }
 
-// TestEncodedBodiesClusterServedBy: a clustered node's single answers
-// carry its servedBy on misses and hits alike; batch items never do.
+// TestEncodedBodiesClusterServedBy: a clustered node's answers carry its
+// servedBy on misses and hits alike, single and batch.
 func TestEncodedBodiesClusterServedBy(t *testing.T) {
 	s, err := NewServer(ServerConfig{
 		DPTemplate: coarseDP(), SegmentTables: true,
@@ -203,8 +207,11 @@ func TestEncodedBodiesClusterServedBy(t *testing.T) {
 	for _, what := range []string{"cluster first hit", "cluster repeated hit"} {
 		assertBody(t, what, serveJSON(h, "/v1/optimize", req), http.StatusOK, encodeRef(t, served(hitForm(e.resp))))
 	}
-	assertBody(t, "cluster batch", serveJSON(h, "/v1/optimize/batch", BatchRequest{Requests: []Request{req}}),
-		http.StatusOK, encodeRef(t, BatchResponse{Results: []BatchItem{{Response: hitForm(e.resp)}}}))
+	fresh := Request{Route: escRouteName, DepartTime: 90}
+	batch := serveJSON(h, "/v1/optimize/batch", BatchRequest{Requests: []Request{req, fresh}})
+	assertBody(t, "cluster batch", batch, http.StatusOK, encodeRef(t, BatchResponse{Results: []BatchItem{
+		{Response: served(hitForm(e.resp))}, {Response: served(entryFor(s, fresh).resp)},
+	}}))
 }
 
 // TestEncodeFailureAnswered: a value encoding/json rejects is a 500 with

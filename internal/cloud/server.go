@@ -746,13 +746,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	switch pg := s.peers; {
 	case pg != nil:
-		// Annotate a copy: e.resp is shared with concurrent readers. The
-		// memo holds the hit form without servedBy, so a clustered
-		// answer is marshalled whole.
-		out := *e.resp
-		out.Cached = out.Cached || hit
-		out.ServedBy = pg.self
-		s.writeJSON(w, http.StatusOK, &out)
+		s.writeJSON(w, http.StatusOK, pg.served(e, hit))
 	case hit:
 		s.writeHit(w, e)
 	default:
@@ -1236,6 +1230,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	items := make([]BatchItem, len(breq.Requests))
 	hits := make([][]byte, len(breq.Requests)) // memoized hit encodings
+	var ctxFailed atomic.Bool                  // some item ran out of budget
 	// The whole batch holds one admission slot; its internal fan-out is
 	// bounded separately so a single big batch cannot seize every core.
 	_ = par.ForEach(runtime.GOMAXPROCS(0), len(breq.Requests), func(i int) error {
@@ -1251,9 +1246,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return nil
 		}
 		e, hit, err := s.optimizeCached(ctx, route, req)
-		switch {
+		switch pg := s.peers; {
 		case err != nil:
+			if isCtxErr(err) {
+				ctxFailed.Store(true)
+			}
 			items[i] = BatchItem{Error: err.Error()}
+		case pg != nil:
+			items[i] = BatchItem{Response: pg.served(e, hit)}
 		case hit:
 			if hits[i], err = e.hitJSON(); err != nil {
 				items[i] = BatchItem{Error: encodeError(err)}
@@ -1263,9 +1263,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		return nil
 	})
-	if ctx.Err() != nil {
-		// The batch's own deadline died mid-fan-out; partial results would
-		// mix answers with timeouts, so report the whole call transient.
+	if ctx.Err() != nil && ctxFailed.Load() {
+		// The batch's own deadline died mid-fan-out and left items
+		// unanswered; partial results would mix answers with timeouts, so
+		// report the whole call transient. A batch whose every item was
+		// answered in time — a stalled item served stale by the ladder,
+		// say — is written as it stands.
 		s.failRetryable(w, "batch abandoned: "+ctx.Err().Error())
 		return
 	}

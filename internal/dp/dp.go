@@ -155,6 +155,11 @@ func (c *Config) validate() error {
 		return fmt.Errorf("dp: accel bounds %.2f/%.2f must be positive", c.AccelMaxMS2, c.DecelMaxMS2)
 	case c.StopDwellSec < 0:
 		return fmt.Errorf("dp: stop dwell %.1f s must be non-negative", c.StopDwellSec)
+	case !(c.PenaltyAh >= 0) || math.IsInf(c.PenaltyAh, 1):
+		// Eq. (12) makes a red-light arrival cost more, never less, and the
+		// stitch's improvement pre-test (stitchFilter) is exact only for a
+		// non-negative penalty. The negated compare also rejects NaN.
+		return fmt.Errorf("dp: window penalty %g Ah must be finite and non-negative", c.PenaltyAh)
 	case c.WindowMarginSec < 0 || c.WindowEndMarginSec < 0:
 		return fmt.Errorf("dp: window margins %.1f/%.1f s must be non-negative", c.WindowMarginSec, c.WindowEndMarginSec)
 	case c.MaxTripSec/c.DtSec > 65534:

@@ -48,6 +48,14 @@ func TestOptimizeValidation(t *testing.T) {
 	if _, err := Optimize(neg); err == nil {
 		t.Fatal("negative dwell accepted")
 	}
+	// A negative penalty would reward red-light arrivals (Eq. 12); NaN and
+	// +Inf are not a price at all.
+	for _, p := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := Config{Route: openRoad(t), Vehicle: ev.SparkEV(), PenaltyAh: p}
+		if _, err := Optimize(cfg); err == nil || !strings.Contains(err.Error(), "penalty") {
+			t.Fatalf("PenaltyAh %v: err %v, want a penalty rejection", p, err)
+		}
+	}
 }
 
 func TestOptimizeOpenRoadBasics(t *testing.T) {

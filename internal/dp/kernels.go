@@ -14,6 +14,7 @@ package dp
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -100,6 +101,71 @@ func relaxEvalGo(cand, tot, k2f []float64, mask []uint8, cost, exact []float64,
 			mask[k>>2] |= 1 << (k & 3)
 		}
 	}
+}
+
+// stitchFilter is the stitch's improvement pre-test (DESIGN.md §11–12). It
+// runs on one relaxEval row of an entry table's crossings, after the
+// trip-budget mask is set, and clears every masked-in lane whose
+// pre-penalty candidate cannot beat its destination cell:
+//
+//	f   = min(max(k2f[c], 0), kMaxF)   // clamped bucket, NaN -> 0
+//	idx = rowOff[c] + int(f)
+//	bit c survives iff cand[c] < cost[idx]
+//
+// It returns how many lanes were masked in before filtering (the stitch's
+// expansion count). rowOff[c] is crossing c's destination row offset
+// (exitJ-minJ)*(kMax+1); cost is the destination boundary's banded slab.
+//
+// The AVX2 kernel gathers cost[idx] without a bounds check, so the index
+// range is pinned here: the clamp keeps f in [0, kMaxF], every rowOff lies
+// in [0, maxRowOff] (RouteTables.index derives them from band-checked
+// exits), and the assertion below bounds the largest index by len(cost).
+// The clamp never fires on stitch input — relaxEval already caps k2f at
+// kMaxF, and arrival times are non-negative — it only makes the gather's
+// address range a property of this function.
+func stitchFilter(mask []uint8, cand, k2f []float64, rowOff []int32, maxRowOff int, cost []float64,
+	kMaxF float64, useAsm bool) int {
+
+	if maxRowOff+int(kMaxF) >= len(cost) {
+		panic("dp: stitch filter row offsets reach past the destination slab")
+	}
+	from, expanded := 0, 0
+	if useAsm {
+		if n4 := len(cand) &^ 3; n4 > 0 {
+			expanded = stitchFilterAsm(mask[:n4>>2], cand[:n4], k2f[:n4], rowOff[:n4], cost, kMaxF)
+			from = n4
+		}
+	}
+	return expanded + stitchFilterGo(mask, cand, k2f, rowOff, cost, kMaxF, from)
+}
+
+// stitchFilterGo is the portable reference for stitchFilter over lanes
+// [from, len(cand)), from a multiple of 4. The clamp is written the way
+// VMAXPD/VMINPD evaluate it, so the asm and Go masks agree bit for bit.
+func stitchFilterGo(mask []uint8, cand, k2f []float64, rowOff []int32, cost []float64,
+	kMaxF float64, from int) int {
+
+	expanded := 0
+	for bi := from >> 2; bi < (len(cand)+3)>>2; bi++ {
+		m := mask[bi]
+		expanded += bits.OnesCount8(m)
+		keep := m
+		for base := bi << 2; m != 0; m &= m - 1 {
+			i := base + bits.TrailingZeros8(m)
+			f := k2f[i]
+			if !(f > 0) {
+				f = 0
+			}
+			if !(f < kMaxF) {
+				f = kMaxF
+			}
+			if !(cand[i] < cost[int(rowOff[i])+int(f)]) {
+				keep &^= 1 << (i & 3)
+			}
+		}
+		mask[bi] = keep
+	}
+	return expanded
 }
 
 // SetAsmKernels forces the assembly kernels on or off and returns the

@@ -18,6 +18,16 @@ func dpxgetbv() (eax, edx uint32)
 func relaxEvalAsm(cand, tot, k2f []float64, mask []uint8, cost, exact []float64,
 	zeta, tCost, step, maxTrip, invDt, kMaxF float64)
 
+// stitchFilterAsm is the AVX2 form of stitchFilterGo over a 4-lane-aligned
+// prefix: len(cand) must be a positive multiple of 4, k2f and rowOff sized
+// to match and mask holding len/4 bytes. It gathers cost[idx] with
+// VGATHERDPD and no bounds check; the stitchFilter wrapper asserts the
+// index range before calling it. The clamp is VMAXPD against 0 then
+// VMINPD against kMaxF, each with the lane value as first operand.
+//
+//go:noescape
+func stitchFilterAsm(mask []uint8, cand, k2f []float64, rowOff []int32, cost []float64, kMaxF float64) int
+
 // asmSupported records the CPU probe; useAsmKernels is the live switch
 // (SetAsmKernels can turn it off, or back on up to asmSupported).
 var asmSupported = detectKernels()
@@ -30,10 +40,11 @@ func detectKernels() bool {
 	}
 	_, _, c1, _ := dpcpuid(1, 0)
 	const (
+		popcnt  = 1 << 23
 		osxsave = 1 << 27
 		avx     = 1 << 28
 	)
-	if c1&osxsave == 0 || c1&avx == 0 {
+	if c1&popcnt == 0 || c1&osxsave == 0 || c1&avx == 0 {
 		return false
 	}
 	if xcr0, _ := dpxgetbv(); xcr0&0x6 != 0x6 {

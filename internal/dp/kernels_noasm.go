@@ -3,11 +3,15 @@
 package dp
 
 // Non-amd64 builds run the portable relaxEvalGo only; the dispatch flags
-// stay false so relaxEvalAsm is never reached.
+// stay false so relaxEvalAsm and stitchFilterAsm are never reached.
 var asmSupported = false
 var useAsmKernels = false
 
 func relaxEvalAsm(cand, tot, k2f []float64, mask []uint8, cost, exact []float64,
 	zeta, tCost, step, maxTrip, invDt, kMaxF float64) {
 	panic("dp: relaxEvalAsm called without amd64 support")
+}
+
+func stitchFilterAsm(mask []uint8, cand, k2f []float64, rowOff []int32, cost []float64, kMaxF float64) int {
+	panic("dp: stitchFilterAsm called without amd64 support")
 }

@@ -2,6 +2,7 @@ package dp
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -70,6 +71,148 @@ func TestRelaxEvalAsmMatchesGo(t *testing.T) {
 				t.Fatalf("n=%d mask byte %d: asm %04b go %04b", n, b, aMask[b], gMask[b])
 			}
 		}
+	}
+}
+
+// filterRow builds a stitch filter input of n lanes over a destination slab
+// of `rows` velocity rows by kw buckets: random trip-budget mask bits,
+// crossings that share destination cells (few rows, a narrow bucket
+// range), inf-sentinel cells in the slab, and candidates that tie their
+// cell exactly. A few buckets sit outside [0, kMaxF], NaN included, to
+// exercise the clamp.
+func filterRow(rng *rand.Rand, n, rows, kw int) (mask []uint8, cand, k2f []float64, rowOff []int32, maxRowOff int, cost []float64) {
+	cost = make([]float64, rows*kw)
+	for i := range cost {
+		cost[i] = rng.NormFloat64()
+		if rng.Float64() < 0.2 {
+			cost[i] = inf
+		}
+	}
+	mask = make([]uint8, (n+3)/4)
+	cand, k2f, rowOff = make([]float64, n), make([]float64, n), make([]int32, n)
+	for c := 0; c < n; c++ {
+		if rng.Float64() < 0.7 {
+			mask[c>>2] |= 1 << (c & 3)
+		}
+		rowOff[c] = int32(rng.Intn(rows) * kw)
+		maxRowOff = max(maxRowOff, int(rowOff[c]))
+		k := min(rng.Intn(8), kw-1)
+		k2f[c] = float64(k)
+		cand[c] = rng.NormFloat64()
+		switch r := rng.Float64(); {
+		case r < 0.15:
+			cand[c] = cost[int(rowOff[c])+k] // a tie never improves
+		case r < 0.2:
+			k2f[c] = []float64{-3, float64(kw) + 5, math.NaN()}[rng.Intn(3)]
+		}
+	}
+	return mask, cand, k2f, rowOff, maxRowOff, cost
+}
+
+// TestStitchFilterAsmMatchesGo pins the pre-test's parity contract: the
+// AVX2 gather kernel and the portable reference leave bit-identical masks
+// and return the same pre-filter lane count for every length, including
+// ragged tails, lanes sharing a destination cell and inf-sentinel cells.
+// The Go reference is checked against the definition lane by lane.
+func TestStitchFilterAsmMatchesGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const rows, kw = 5, 16
+	kMaxF := float64(kw - 1)
+	for n := 1; n <= 1000; n += 1 + n/16 {
+		mask, cand, k2f, rowOff, maxRowOff, cost := filterRow(rng, n, rows, kw)
+		want := 0
+		for _, m := range mask {
+			want += bits.OnesCount8(m)
+		}
+		goMask := append([]uint8(nil), mask...)
+		if got := stitchFilter(goMask, cand, k2f, rowOff, maxRowOff, cost, kMaxF, false); got != want {
+			t.Fatalf("n=%d: go filter counted %d lanes, mask holds %d", n, got, want)
+		}
+		for c := 0; c < n; c++ {
+			f := k2f[c]
+			if !(f > 0) {
+				f = 0
+			}
+			f = math.Min(f, kMaxF)
+			in := mask[c>>2]>>(c&3)&1 == 1
+			keep := in && cand[c] < cost[int(rowOff[c])+int(f)]
+			if got := goMask[c>>2]>>(c&3)&1 == 1; got != keep {
+				t.Fatalf("n=%d lane %d: go filter kept %v, definition says %v", n, c, got, keep)
+			}
+		}
+		if !asmSupported {
+			continue
+		}
+		asmMask := append([]uint8(nil), mask...)
+		if got := stitchFilter(asmMask, cand, k2f, rowOff, maxRowOff, cost, kMaxF, true); got != want {
+			t.Fatalf("n=%d: asm filter counted %d lanes, mask holds %d", n, got, want)
+		}
+		for b := range goMask {
+			if asmMask[b] != goMask[b] {
+				t.Fatalf("n=%d mask byte %d: asm %04b go %04b", n, b, asmMask[b], goMask[b])
+			}
+		}
+	}
+}
+
+// TestStitchFilterBoundsAsserted: a row offset that would gather past the
+// destination slab panics before any lane is read.
+func TestStitchFilterBoundsAsserted(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("out-of-slab row offset accepted")
+		}
+	}()
+	cost := make([]float64, 2*8)
+	stitchFilter([]uint8{0xf}, make([]float64, 4), make([]float64, 4), []int32{0, 0, 8, 9}, 9, cost, 7, asmSupported)
+}
+
+// kernelName labels a kernel dispatch setting in benchmark names.
+func kernelName(asm bool) string {
+	if asm {
+		return "avx2"
+	}
+	return "go"
+}
+
+// BenchmarkRelaxEval and BenchmarkStitchFilter time the stitch's two lane
+// kernels on one production-sized row (1024 crossings, every lane in the
+// trip budget), so the lane work can be told apart from the scalar commit
+// that BenchmarkStitchUS25 includes.
+func BenchmarkRelaxEval(b *testing.B) {
+	const n = 1024
+	rng := rand.New(rand.NewSource(3))
+	cost, exact := make([]float64, n), make([]float64, n)
+	for i := range cost {
+		cost[i], exact[i] = rng.Float64(), rng.Float64()*300
+	}
+	sc := newRelaxScratch(n)
+	for _, asm := range []bool{false, asmSupported} {
+		b.Run(kernelName(asm), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				relaxEval(sc.cand, sc.tot, sc.k2f, sc.mask, cost, exact, 0.1, 0, 12, 840, 0.5, 420, asm)
+			}
+		})
+	}
+}
+
+func BenchmarkStitchFilter(b *testing.B) {
+	const n, rows, kw = 1024, 11, 421
+	rng := rand.New(rand.NewSource(5))
+	_, cand, k2f, rowOff, maxRowOff, cost := filterRow(rng, n, rows, kw)
+	for i := range k2f {
+		k2f[i] = float64(rng.Intn(kw))
+	}
+	mask := make([]uint8, n/4)
+	for _, asm := range []bool{false, asmSupported} {
+		b.Run(kernelName(asm), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for j := range mask {
+					mask[j] = 0xf
+				}
+				stitchFilter(mask, cand, k2f, rowOff, maxRowOff, cost, kw-1, asm)
+			}
+		})
 	}
 }
 

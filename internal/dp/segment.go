@@ -60,6 +60,12 @@ type entryTable struct {
 	// paths holds crossing c's velocity index per stage at
 	// [c*stride, (c+1)*stride), stride = EndStage-StartStage+1.
 	paths []uint16
+
+	// rowOff[c] is crossing c's row in its exit boundary's banded slab,
+	// (exitJ[c]-minJ)*(kMax+1), and maxRowOff the largest of them. Both
+	// are derived by RouteTables.index, never shipped on the wire.
+	rowOff    []int32
+	maxRowOff int
 }
 
 // path returns crossing c's stage path.
@@ -152,7 +158,10 @@ func (rt *RouteTables) boundary(s int) int {
 // index derives the stitch geometry from the filled specs and entries.
 // Every boundary keeps only its stage's [minJ, maxJ] band, so the
 // backpointer slab is Σ band·(kMax+1) cells rather than a full velocity
-// width per boundary.
+// width per boundary. Each entry table gets its crossings' row offsets in
+// the exit boundary's band; BuildRouteTables and ImportRouteTables both
+// keep exits inside that band, and the stitch's unchecked gather relies on
+// it, so an exit outside it panics here.
 func (rt *RouteTables) index() {
 	kw := rt.grid.kMax + 1
 	rt.backOff = make([]int, len(rt.specs)+2)
@@ -162,9 +171,20 @@ func (rt *RouteTables) index() {
 		rt.backOff[s+1] = rt.backOff[s] + band*kw
 		rt.maxBand = max(rt.maxBand, band)
 	}
-	for _, ets := range rt.entries {
+	for s, ets := range rt.entries {
+		dst := rt.stages[rt.specs[s].EndStage]
 		for i := range ets {
-			rt.maxCross = max(rt.maxCross, len(ets[i].exitJ))
+			et := &ets[i]
+			rt.maxCross = max(rt.maxCross, len(et.exitJ))
+			et.rowOff = make([]int32, len(et.exitJ))
+			for c, j := range et.exitJ {
+				if int(j) < dst.minJ || int(j) > dst.maxJ {
+					panic(fmt.Sprintf("dp: crossing exits at velocity %d outside its boundary band [%d,%d]", j, dst.minJ, dst.maxJ))
+				}
+				off := (int(j) - dst.minJ) * kw
+				et.rowOff[c] = int32(off)
+				et.maxRowOff = max(et.maxRowOff, off)
+			}
 		}
 	}
 }
@@ -341,40 +361,42 @@ func grabStitchSlabs(cells, backs, lanes int) *stitchSlabs {
 
 // stitchStep is one boundary transition's commit state: the window test at
 // the destination boundary and that boundary's banded slabs, indexed
-// [(exitJ-minJ)*kw + k2].
+// [rowOff + k2].
 type stitchStep struct {
 	ws              []queue.Window // sorted by Start (shrunkWindows' contract)
 	hasWin          bool
 	depart, penalty float64
-	kw, minJ        int
 
 	cost, exact []float64
 	from, cross []int32
 }
 
 // commit is the scalar half of one (entry, k) source cell's relaxation:
-// relaxEval has evaluated the entry's n crossings as lanes, and commit walks
-// the mask bits in ascending crossing order, adds the window penalty at the
-// absolute arrival time and keeps strict improvements. Visit order across
-// calls is (entry, k, crossing), so ties keep the first-visited predecessor.
+// relaxEval has evaluated the entry's n crossings as lanes and stitchFilter
+// has cleared the lanes whose pre-penalty candidate cannot beat their
+// destination. commit walks the surviving mask bits in ascending crossing
+// order, adds the window penalty at the absolute arrival time and keeps
+// strict improvements against the live cell. Visit order across calls is
+// (entry, k, crossing), so ties keep the first-visited predecessor.
 // Arrival times ascend with the bucket inside one exit velocity and drop at
 // the next, so the sorted-window cursor restarts whenever the arrival time
-// decreases — correct for any crossing order. It returns the number of
-// crossings expanded (those within the trip budget).
+// decreases — correct for any crossing order, and so for any subset of it.
+//
+// The filter is exact: destination costs only fall during a boundary step
+// and the penalty is non-negative (Config.validate), so a lane with
+// cand >= cost before the commit can never pass nc < cost during it.
 //
 //lint:hot
-func (st *stitchStep) commit(et *entryTable, lanes *relaxScratch, n int, from int32) int {
-	expanded := 0
+func (st *stitchStep) commit(et *entryTable, lanes *relaxScratch, n int, from int32) {
 	wi, last := 0, 0.0
 	tt, cd, kf := lanes.tot[:n], lanes.cand[:n], lanes.k2f[:n]
-	exitJ := et.exitJ[:n]
+	rowOff := et.rowOff[:n]
 	nb := (n + 3) >> 2
 	for bi := 0; bi < nb; bi++ {
 		m := lanes.mask[bi]
 		if m == 0 {
 			continue
 		}
-		expanded += bits.OnesCount8(m)
 		base := bi << 2
 		for ; m != 0; m &= m - 1 {
 			i := base + bits.TrailingZeros8(m)
@@ -396,7 +418,7 @@ func (st *stitchStep) commit(et *entryTable, lanes *relaxScratch, n int, from in
 					nc += st.penalty
 				}
 			}
-			idx := (int(exitJ[i])-st.minJ)*st.kw + int(kf[i])
+			idx := int(rowOff[i]) + int(kf[i])
 			if nc < st.cost[idx] {
 				st.cost[idx] = nc
 				st.exact[idx] = tot
@@ -405,7 +427,6 @@ func (st *stitchStep) commit(et *entryTable, lanes *relaxScratch, n int, from in
 			}
 		}
 	}
-	return expanded
 }
 
 // StitchCtx assembles the optimal profile for one request from the solved
@@ -419,10 +440,11 @@ func (st *stitchStep) commit(et *entryTable, lanes *relaxScratch, n int, from in
 // The boundary DP runs on the sweep's machinery (DESIGN.md §11–12): for
 // each finite source cell (entry velocity, bucket k), relaxEval evaluates
 // the entry's crossings as lanes — candidate cost costAh+c0, arrival
-// durSec+elapsed, bucket floor(t·(1/Δt)+0.5), trip-budget mask — and
-// stitchStep.commit resolves the scatter. Both sums are the scalar ones
-// with commuted operands, so they are bit-identical to the per-crossing
-// loop they replace.
+// durSec+elapsed, bucket floor(t·(1/Δt)+0.5), trip-budget mask —
+// stitchFilter drops the lanes that cannot improve their destination, and
+// stitchStep.commit resolves the scatter for the rest. Both sums are the
+// scalar ones with commuted operands, so they are bit-identical to the
+// per-crossing loop they replace.
 //
 // The stitched optimum agrees with OptimizeCtx up to time-bucket merging:
 // the monolithic DP buckets paths by absolute elapsed time at every stage,
@@ -473,7 +495,6 @@ func (rt *RouteTables) StitchCtx(ctx context.Context, cfg Config) (*Result, erro
 		ws, hasWin := windows[rt.specs[s].EndStage]
 		step := stitchStep{
 			ws: ws, hasWin: hasWin, depart: cfg.DepartTime, penalty: cfg.PenaltyAh,
-			kw: kw, minJ: dst.minJ,
 			cost: nxtCost[:band], exact: nxtExact[:band],
 			from: sl.from[lo:hi], cross: sl.cross[lo:hi],
 		}
@@ -489,9 +510,12 @@ func (rt *RouteTables) StitchCtx(ctx context.Context, cfg Config) (*Result, erro
 				if c0 >= inf {
 					continue
 				}
-				relaxEval(lanes.cand[:n], lanes.tot[:n], lanes.k2f[:n], lanes.mask[:(n+3)>>2],
+				mask := lanes.mask[:(n+3)>>2]
+				relaxEval(lanes.cand[:n], lanes.tot[:n], lanes.k2f[:n], mask,
 					et.costAh, et.durSec, c0, 0, curExact[col+k], cfg.MaxTripSec, invDt, kMaxF, useAsm)
-				expanded += step.commit(et, lanes, n, int32(e)<<16|int32(k))
+				expanded += stitchFilter(mask, lanes.cand[:n], lanes.k2f[:n], et.rowOff, et.maxRowOff,
+					step.cost, kMaxF, useAsm)
+				step.commit(et, lanes, n, int32(e)<<16|int32(k))
 			}
 		}
 		curCost, nxtCost = nxtCost, curCost

@@ -74,24 +74,33 @@ func resultHash(h interface{ Write([]byte) (int, error) }, res *Result) {
 }
 
 // TestStitchGolden pins stitched plans bit for bit across four grids and a
-// 60-request stream each (240 plans): the stitch's boundary DP is a
-// performance target, and any change to its visit order, tie-break, bucket
-// rule or window test shows up here as a different digest.
+// 60-request stream each (240 plans), with the lane kernels forced on and
+// off: the stitch's boundary DP is a performance target, and any change to
+// its visit order, tie-break, bucket rule, window test or improvement
+// pre-test shows up here as a different digest.
 func TestStitchGolden(t *testing.T) {
 	const want = 0x545e49a17a61aedc
-	h := fnv.New64a()
-	for gi, grid := range stitchGrids() {
-		rt := buildTestTables(t, grid)
-		for i := 0; i < 60; i++ {
-			res, err := rt.StitchCtx(context.Background(), stitchRequest(t, grid, i))
-			if err != nil {
-				t.Fatalf("grid %d request %d: %v", gi, i, err)
-			}
-			resultHash(h, res)
-		}
+	grids := stitchGrids()
+	tables := make([]*RouteTables, len(grids))
+	for gi, grid := range grids {
+		tables[gi] = buildTestTables(t, grid)
 	}
-	if got := h.Sum64(); got != want {
-		t.Fatalf("stitched plans hash %#016x, want %#016x", got, uint64(want))
+	defer SetAsmKernels(SetAsmKernels(true))
+	for _, asm := range []bool{true, false} {
+		SetAsmKernels(asm)
+		h := fnv.New64a()
+		for gi, grid := range grids {
+			for i := 0; i < 60; i++ {
+				res, err := tables[gi].StitchCtx(context.Background(), stitchRequest(t, grid, i))
+				if err != nil {
+					t.Fatalf("kernels=%v grid %d request %d: %v", KernelsEnabled(), gi, i, err)
+				}
+				resultHash(h, res)
+			}
+		}
+		if got := h.Sum64(); got != want {
+			t.Fatalf("kernels=%v: stitched plans hash %#016x, want %#016x", KernelsEnabled(), got, uint64(want))
+		}
 	}
 }
 
@@ -182,19 +191,25 @@ func TestStitchCtxWarmAllocs(t *testing.T) {
 }
 
 // BenchmarkStitchUS25 times a warm production-grid stitch (tables built
-// outside the timer), the per-request cost a serving node pays.
+// outside the timer), the per-request cost a serving node pays, once per
+// window variant: the improvement pre-test passes a different share of
+// lanes for queue-aware, green and window-free requests.
 func BenchmarkStitchUS25(b *testing.B) {
 	grid := stitchGrids()[0]
 	rt, err := BuildRouteTables(context.Background(), grid)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := stitchRequest(b, grid, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rt.StitchCtx(context.Background(), cfg); err != nil {
-			b.Fatal(err)
-		}
+	// stitchRequest cycles queue-aware, green, none with i%3.
+	for i, name := range []string{"queue-aware", "green", "no-window"} {
+		cfg := stitchRequest(b, grid, i)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				if _, err := rt.StitchCtx(context.Background(), cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
