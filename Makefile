@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test race bench bench-smoke bench-fleet bench-dp bench-verify chaos chaos-cluster
+.PHONY: check fmt vet lint build test race bench bench-smoke bench-dp bench-verify chaos chaos-cluster
 
-check: fmt vet lint build race bench-smoke bench-fleet bench-dp bench-verify chaos chaos-cluster
+check: fmt vet lint build race bench-smoke bench-dp bench-verify chaos chaos-cluster
 
 # Formatting gate: fails listing every file gofmt would rewrite.
 fmt:
@@ -48,14 +48,6 @@ bench:
 bench-smoke:
 	$(GO) test -run - -bench . -benchtime 1x ./...
 
-# Fleet-serving smoke: drive a simulated fleet through cmd/evload against
-# an in-process 3-node cloudd cluster and emit the BENCH_fleet.json
-# trajectory (per-node latency quantiles, DP-solve reuse from segment
-# tables, and the cluster forward/fetch/failover counters — DESIGN.md
-# §11, §13).
-bench-fleet:
-	$(GO) run ./cmd/evload -requests 96 -vehicles 12 -nodes 3 -out BENCH_fleet.json
-
 # DP solver bench: time the Fig-6 queue-aware solve across the serving
 # modes (scalar, AVX2 kernels, the coarse-grid ladder rung's
 # dp.OptimizeCoarseCtx at factor 3 and corridor 2·3·Δv, and a warm
@@ -86,4 +78,4 @@ chaos:
 chaos-cluster:
 	$(GO) test -race -count=1 ./internal/cluster
 	$(GO) test -race -count=1 -run 'Cluster|Ready|Retry' \
-		./internal/cloud ./cmd/cloudd ./cmd/evload
+		./internal/cloud ./cmd/cloudd

@@ -10,12 +10,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"evvo/internal/dp"
 	"evvo/internal/ev"
 	"evvo/internal/queue"
 	"evvo/internal/road"
+	"evvo/internal/trace"
 	"evvo/internal/units"
 )
 
@@ -41,16 +43,16 @@ func main() {
 	flag.Float64Var(&o.dtSec, "dt", 1, "time grid Δt in seconds")
 	flag.BoolVar(&o.csv, "csv", false, "emit the profile as CSV (t,pos,v) instead of a table")
 	flag.Parse()
-	if err := run(o); err != nil {
+	if err := run(os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, "evopt:", err)
 		os.Exit(1)
 	}
 }
 
-func run(o options) error {
-	route := road.US25()
+// solverConfig builds the US-25 optimization problem o describes.
+func solverConfig(o options) (dp.Config, error) {
 	cfg := dp.Config{
-		Route: route, Vehicle: ev.SparkEV(), DepartTime: o.depart,
+		Route: road.US25(), Vehicle: ev.SparkEV(), DepartTime: o.depart,
 		DsM: o.dsM, DvMS: o.dvMS, DtSec: o.dtSec, StopDwellSec: 2,
 	}
 	horizon := o.depart + 800
@@ -61,39 +63,44 @@ func run(o options) error {
 		wf, err := dp.QueueAwareWindows(queue.US25Params(),
 			dp.ConstantArrivalRate(queue.VehPerHour(o.rate)), o.depart, horizon)
 		if err != nil {
-			return err
+			return dp.Config{}, err
 		}
 		cfg.Windows = wf
 	case "unconstrained":
 	default:
-		return fmt.Errorf("unknown variant %q", o.variant)
+		return dp.Config{}, fmt.Errorf("unknown variant %q", o.variant)
 	}
+	return cfg, nil
+}
 
+// run solves the problem o describes and prints the plan to w: a summary
+// table, or with o.csv the profile in trace's CSV format.
+func run(w io.Writer, o options) error {
+	cfg, err := solverConfig(o)
+	if err != nil {
+		return err
+	}
 	res, err := dp.Optimize(cfg)
 	if err != nil {
 		return err
 	}
 	if o.csv {
-		fmt.Println("t_sec,pos_m,speed_ms")
-		for _, p := range res.Profile.Points() {
-			fmt.Printf("%.2f,%.1f,%.3f\n", p.T, p.Pos, p.V)
-		}
-		return nil
+		return trace.WriteProfile(w, res.Profile)
 	}
-	fmt.Printf("route: US-25 (%.1f km), variant: %s, depart: %.0f s\n",
-		units.MToKm(route.LengthM()), o.variant, o.depart)
-	fmt.Printf("energy: %.1f mAh   trip: %.1f s   penalized: %v\n",
+	fmt.Fprintf(w, "route: US-25 (%.1f km), variant: %s, depart: %.0f s\n",
+		units.MToKm(cfg.Route.LengthM()), o.variant, o.depart)
+	fmt.Fprintf(w, "energy: %.1f mAh   trip: %.1f s   penalized: %v\n",
 		units.AhToMAh(res.ChargeAh), res.TripSec, res.Penalized)
 	for _, a := range res.Arrivals {
 		status := "in window"
 		if !a.InWindow {
 			status = "OUT OF WINDOW"
 		}
-		fmt.Printf("  %-10s at %4.0f m: arrive t=%6.1f s  (%s)\n", a.Name, a.PositionM, a.ArrivalSec, status)
+		fmt.Fprintf(w, "  %-10s at %4.0f m: arrive t=%6.1f s  (%s)\n", a.Name, a.PositionM, a.ArrivalSec, status)
 	}
-	fmt.Println("\npos (m)  speed (km/h)")
-	for pos := 0.0; pos <= route.LengthM(); pos += 200 {
-		fmt.Printf("%7.0f  %6.1f\n", pos, units.MpsToKmh(res.Profile.SpeedAtPos(pos)))
+	fmt.Fprintln(w, "\npos (m)  speed (km/h)")
+	for pos := 0.0; pos <= cfg.Route.LengthM(); pos += 200 {
+		fmt.Fprintf(w, "%7.0f  %6.1f\n", pos, units.MpsToKmh(res.Profile.SpeedAtPos(pos)))
 	}
 	return nil
 }

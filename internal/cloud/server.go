@@ -168,6 +168,9 @@ type Stats struct {
 	// BatchItems counts individual requests carried by /v1/optimize/batch.
 	BatchItems int64 `json:"batchItems"`
 	// LatencyMs summarizes compute-endpoint latency (admitted requests).
+	// withLatency observes a request only after its handler has written
+	// the body, so a client that reads /v1/stats right after its answer
+	// can find its own request not yet counted.
 	LatencyMs LatencyStats `json:"latencyMs"`
 	// Cluster reports the cluster runtime's counters (nil standalone).
 	Cluster *ClusterStats `json:"cluster,omitempty"`
