@@ -335,43 +335,6 @@ func BenchmarkExtGradeStudy(b *testing.B) {
 	b.ReportMetric(saving, "grade-saving-%")
 }
 
-// BenchmarkExtGreedyVsDP compares the fast heuristic planner (in the
-// spirit of the paper's reference [15]) against the full DP: runtime per
-// plan plus the weighted cost each achieves.
-func BenchmarkExtGreedyVsDP(b *testing.B) {
-	vin := queue.VehPerHour(400)
-	wf, err := dp.QueueAwareWindows(queue.US25Params(), dp.ConstantArrivalRate(vin), 0, 900)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := dp.Config{
-		Route: road.US25(), Vehicle: ev.SparkEV(),
-		DsM: 100, DvMS: 1, DtSec: 2, StopDwellSec: 2, Windows: wf,
-	}
-	b.Run("greedy", func(b *testing.B) {
-		var cost float64
-		for i := 0; i < b.N; i++ {
-			res, err := dp.GreedyPlan(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cost = res.ChargeAh * 1000
-		}
-		b.ReportMetric(cost, "planned-mAh")
-	})
-	b.Run("dp", func(b *testing.B) {
-		var cost float64
-		for i := 0; i < b.N; i++ {
-			res, err := dp.Optimize(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cost = res.ChargeAh * 1000
-		}
-		b.ReportMetric(cost, "planned-mAh")
-	})
-}
-
 // BenchmarkExtPredictorComparison scores the SAE against the classical
 // baselines (seasonal naive, AR(24)) on the same held-out week, reporting
 // each model's test MRE — the comparison that motivates the paper's SAE

@@ -15,9 +15,9 @@
 // -max-wall bounds the lint run's own wall clock: an otherwise-clean
 // run that overshoots exits 3, so a slow analyzer fails CI instead of
 // silently eating the pipeline's latency budget. -summaries dumps the
-// per-function interprocedural summaries (effects, lock sets, blocking,
-// context flow — internal/lint/summary.go) as JSON and exits; CI uploads
-// it as an artifact next to the findings report.
+// per-function interprocedural summaries (effects, dynamic calls and
+// purity certificates — internal/lint/summary.go) as JSON and exits; CI
+// uploads it as an artifact next to the findings report.
 package main
 
 import (
@@ -113,8 +113,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *summaries {
 		// The summary dump is the CI artifact that makes each commit's
-		// certification state (purity, lock sets, blocking, ctx flow)
-		// inspectable without re-running the analysis. Always JSON.
+		// certification state inspectable without re-running the
+		// analysis. Always JSON.
 		prog := lint.BuildProgram(pkgs)
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")

@@ -1,10 +1,10 @@
 // Command evload drives a simulated EV fleet against a running
 // vehicular-cloud service (cmd/cloudd) and prints one summary line:
 // request and failure counts, client-side latency quantiles, and the
-// target's DP solves, reuse factor (this run's requests per DP solve,
-// DESIGN.md §11), shed and degraded totals from its /v1/stats. Those server
-// counters are the target's lifetime totals, so the reuse factor describes
-// this run alone only against a freshly started service.
+// target's DP solves, reuse factor (requests per DP solve, DESIGN.md §11),
+// shed and degraded counts. The server figures are this run's own: the
+// difference of the target's /v1/stats read before and after the load, so
+// they hold against a service that has already served other traffic.
 //
 // evload is a load driver, not a benchmark: the service's end-to-end
 // figures come from servebench (BENCHMARK.json).
@@ -51,11 +51,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "evload:", err)
 		os.Exit(1)
 	}
-	var reuse float64
+	// A run the target served entirely from cache or warm tables solved
+	// nothing: its reuse is unbounded, not zero.
+	reuse := "no solves"
 	if solves := rep.Server.DPFullSolves + rep.Server.DPSegmentSolves; solves > 0 {
-		reuse = float64(rep.Requests) / float64(solves)
+		reuse = fmt.Sprintf("reuse %.1f×", float64(rep.Requests)/float64(solves))
 	}
-	fmt.Printf("evload: %d requests (%d failed) via %s; latency p50 %.1f ms p95 %.1f ms p99 %.1f ms; %d full + %d segment solves (reuse %.1f×); shed %d degraded %d\n",
+	fmt.Printf("evload: %d requests (%d failed) via %s; latency p50 %.1f ms p95 %.1f ms p99 %.1f ms; %d full + %d segment solves (%s); shed %d degraded %d\n",
 		rep.Requests, rep.Failed, rep.Mode, rep.LatencyMs.P50, rep.LatencyMs.P95, rep.LatencyMs.P99,
 		rep.Server.DPFullSolves, rep.Server.DPSegmentSolves, reuse, rep.Server.Shed, rep.Server.Degraded)
 }
@@ -95,7 +97,8 @@ type report struct {
 	// are weighted by requests, not by calls; Count always equals the
 	// number of requests issued.
 	LatencyMs cloud.LatencyStats
-	// Server is the target's /v1/stats read after the load.
+	// Server holds the target's solve, shed and degraded counters accrued
+	// during this run: its /v1/stats after the load minus before it.
 	Server cloud.Stats
 }
 
@@ -108,6 +111,10 @@ func run(ctx context.Context, cfg loadConfig) (*report, error) {
 		return nil, err
 	}
 
+	before, err := client.Stats(ctx)
+	if err != nil {
+		return nil, err
+	}
 	reqs := makeRequests(cfg)
 	lat := metrics.NewLatencyHistogram()
 	rep := &report{Requests: len(reqs), Mode: "single"}
@@ -170,8 +177,15 @@ func run(ctx context.Context, cfg loadConfig) (*report, error) {
 		P95:   lat.Quantile(0.95),
 		P99:   lat.Quantile(0.99),
 	}
-	if rep.Server, err = client.Stats(ctx); err != nil {
+	after, err := client.Stats(ctx)
+	if err != nil {
 		return nil, err
+	}
+	rep.Server = cloud.Stats{
+		DPFullSolves:    after.DPFullSolves - before.DPFullSolves,
+		DPSegmentSolves: after.DPSegmentSolves - before.DPSegmentSolves,
+		Shed:            after.Shed - before.Shed,
+		Degraded:        after.Degraded - before.Degraded,
 	}
 	return rep, nil
 }

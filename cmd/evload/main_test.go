@@ -63,6 +63,43 @@ func TestFleetLoadReuse(t *testing.T) {
 	}
 }
 
+// TestServerCountsThisRunOnly: two runs against one service each report
+// their own solves. The first builds the route's segment tables; the
+// second, on fresh departures, stitches from them and solves nothing, and
+// the two runs' counts add up to the service's lifetime total.
+func TestServerCountsThisRunOnly(t *testing.T) {
+	addr := startService(t)
+	ctx := context.Background()
+	solves := func(st cloud.Stats) int64 { return st.DPFullSolves + st.DPSegmentSolves }
+	cfg := smokeConfig(addr)
+	first, err := run(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Seed = 2
+	second, err := run(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if solves(first.Server) == 0 {
+		t.Fatal("first run reports no solves; it built the segment tables")
+	}
+	if n := solves(second.Server); n != 0 {
+		t.Fatalf("second run reports %d solves; the tables were warm, so those are the first run's", n)
+	}
+	client, err := cloud.NewClient(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total, err := client.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := solves(first.Server)+solves(second.Server), solves(total); got != want {
+		t.Fatalf("runs report %d solves between them, service lifetime %d", got, want)
+	}
+}
+
 // TestSingleMode covers the non-batch path (-batch 0).
 func TestSingleMode(t *testing.T) {
 	cfg := smokeConfig(startService(t))

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -533,5 +534,45 @@ func TestClusterReadyJoiningWindow(t *testing.T) {
 			t.Fatal("node never left the joining state")
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestClusterCloseJoinsGoroutines: once a 3-node cluster has replicated
+// its warm tables and served a batch that needed a table fetch, closing
+// every server and listener leaves no goroutine behind. Heartbeats,
+// replication pushes, table fetches and their hedges are all joined by
+// Server.Close (peerGroup.close waits on its WaitGroup), and in-flight
+// handlers by the listener's Close.
+func TestClusterCloseJoinsGoroutines(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	nodes := startChaosCluster(t, 3)
+	_, _, cold := clusterRoles(t, nodes)
+	ctx := context.Background()
+	breq := BatchRequest{}
+	for i := 0; i < 4; i++ {
+		breq.Requests = append(breq.Requests, Request{Route: "us25", DepartTime: float64(15 * i)})
+	}
+	if _, err := nodes[cold].c.OptimizeBatch(ctx, breq); err != nil {
+		t.Fatal(err)
+	}
+	st, err := nodes[cold].c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Cluster.TableFetches == 0 {
+		t.Fatalf("cold member %s served the batch without a table fetch", nodes[cold].id)
+	}
+	for _, nd := range nodes {
+		nd.srv.Close()
+		nd.ts.Close()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline+2 {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines did not settle after Close: baseline %d, now %d\n%s",
+				baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

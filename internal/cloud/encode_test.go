@@ -181,36 +181,53 @@ func TestEncodedBodiesByteIdentical(t *testing.T) {
 }
 
 // TestEncodedBodiesClusterServedBy: a clustered node's answers carry its
-// servedBy on misses and hits alike, single and batch.
+// servedBy on misses and hits alike, single and batch. The node stamps its
+// ID once, on the cached response, so its hits take the same memoized path
+// as a standalone node's; every body must still be byte-identical to the
+// encoding/json form of a per-answer copy of the standalone answer with
+// Cached set on hits and servedBy stamped.
 func TestEncodedBodiesClusterServedBy(t *testing.T) {
-	s, err := NewServer(ServerConfig{
-		DPTemplate: coarseDP(), SegmentTables: true,
-		Cluster: &ClusterConfig{NodeID: "n<1>&"},
-	})
-	if err != nil {
-		t.Fatal(err)
+	const self = "n<1>&"
+	boot := func(cluster *ClusterConfig) (*Server, http.Handler) {
+		s, err := NewServer(ServerConfig{DPTemplate: coarseDP(), SegmentTables: true, Cluster: cluster})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		if err := s.RegisterRoute(escRouteName, escRoute(t)); err != nil {
+			t.Fatal(err)
+		}
+		return s, s.Handler()
 	}
-	t.Cleanup(s.Close)
-	if err := s.RegisterRoute(escRouteName, escRoute(t)); err != nil {
-		t.Fatal(err)
-	}
-	h := s.Handler()
-	req := Request{Route: escRouteName, DepartTime: 3}
-	miss := serveJSON(h, "/v1/optimize", req)
-	e := entryFor(s, req)
-	served := func(r *Response) *Response {
+	s, h := boot(&ClusterConfig{NodeID: self})
+	ref, refH := boot(nil)
+	stamped := func(r *Response, hit bool) *Response {
 		out := *r
-		out.ServedBy = "n<1>&"
+		out.Cached = out.Cached || hit
+		out.ServedBy = self
 		return &out
 	}
-	assertBody(t, "cluster miss", miss, http.StatusOK, encodeRef(t, served(e.resp)))
+
+	req := Request{Route: escRouteName, DepartTime: 3}
+	miss := serveJSON(h, "/v1/optimize", req)
+	serveJSON(refH, "/v1/optimize", req)
+	if got := entryFor(s, req).resp.ServedBy; got != self {
+		t.Fatalf("cached response servedBy = %q, want %q stamped at store", got, self)
+	}
+	plain := entryFor(ref, req).resp
+	assertBody(t, "cluster miss", miss, http.StatusOK, encodeRef(t, stamped(plain, false)))
 	for _, what := range []string{"cluster first hit", "cluster repeated hit"} {
-		assertBody(t, what, serveJSON(h, "/v1/optimize", req), http.StatusOK, encodeRef(t, served(hitForm(e.resp))))
+		assertBody(t, what, serveJSON(h, "/v1/optimize", req), http.StatusOK, encodeRef(t, stamped(plain, true)))
 	}
 	fresh := Request{Route: escRouteName, DepartTime: 90}
 	batch := serveJSON(h, "/v1/optimize/batch", BatchRequest{Requests: []Request{req, fresh}})
+	serveJSON(refH, "/v1/optimize", fresh)
 	assertBody(t, "cluster batch", batch, http.StatusOK, encodeRef(t, BatchResponse{Results: []BatchItem{
-		{Response: served(hitForm(e.resp))}, {Response: served(entryFor(s, fresh).resp)},
+		{Response: stamped(plain, true)}, {Response: stamped(entryFor(ref, fresh).resp, false)},
+	}}))
+	hitBatch := serveJSON(h, "/v1/optimize/batch", BatchRequest{Requests: []Request{fresh, req}})
+	assertBody(t, "cluster hit batch", hitBatch, http.StatusOK, encodeRef(t, BatchResponse{Results: []BatchItem{
+		{Response: stamped(entryFor(ref, fresh).resp, true)}, {Response: stamped(plain, true)},
 	}}))
 }
 

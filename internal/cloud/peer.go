@@ -204,17 +204,6 @@ type peerGroup struct {
 	peerFallbacks, breakerFastFails          metrics.Counter
 }
 
-// served is a clustered node's answer from a cache entry: a copy (e.resp
-// is shared with concurrent readers) naming this node. The entry's memo
-// holds the hit form without servedBy, so single and batch answers alike
-// marshal the copy whole.
-func (pg *peerGroup) served(e *cacheEntry, hit bool) *Response {
-	out := *e.resp
-	out.Cached = out.Cached || hit
-	out.ServedBy = pg.self
-	return &out
-}
-
 // peerTransport injects the peer-level faults (delay, then drop) in front
 // of a real transport, on the sending side only — which is what makes the
 // injected partitions asymmetric.

@@ -747,12 +747,9 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.optimizeError(w, err)
 		return
 	}
-	switch pg := s.peers; {
-	case pg != nil:
-		s.writeJSON(w, http.StatusOK, pg.served(e, hit))
-	case hit:
+	if hit {
 		s.writeHit(w, e)
-	default:
+	} else {
 		s.writeJSON(w, http.StatusOK, e.resp)
 	}
 }
@@ -764,12 +761,17 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // warm and hit the same cache. hit reports an answer this call did not
 // compute — a cache entry or a coalesced leader's result — which is served
 // in its hit form (Cached set, DESIGN.md §8); the entry's response itself
-// is shared and must not be modified.
+// is shared and must not be modified. A clustered node stamps its ID on
+// the response before sharing it — the ID never changes — so its misses
+// and memoized hits name it without a per-answer copy.
 func (s *Server) optimizeCached(ctx context.Context, route *road.Route, req Request) (e *cacheEntry, hit bool, err error) {
 	e, fresh, err := s.inflight.do(ctx, s.cacheKey(req), func() (*cacheEntry, error) {
 		resp, err := s.optimize(ctx, route, req)
 		if err != nil {
 			return nil, err
+		}
+		if s.peers != nil {
+			resp.ServedBy = s.peers.self
 		}
 		return &cacheEntry{resp: resp}, nil
 	})
@@ -1249,14 +1251,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return nil
 		}
 		e, hit, err := s.optimizeCached(ctx, route, req)
-		switch pg := s.peers; {
+		switch {
 		case err != nil:
 			if isCtxErr(err) {
 				ctxFailed.Store(true)
 			}
 			items[i] = BatchItem{Error: err.Error()}
-		case pg != nil:
-			items[i] = BatchItem{Response: pg.served(e, hit)}
 		case hit:
 			if hits[i], err = e.hitJSON(); err != nil {
 				items[i] = BatchItem{Error: encodeError(err)}

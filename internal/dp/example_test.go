@@ -39,24 +39,3 @@ func ExampleOptimize() {
 	//   light-1: in zero-queue window=true
 	//   light-2: in zero-queue window=true
 }
-
-// ExampleGreedyPlan runs the fast heuristic planner on the same problem.
-func ExampleGreedyPlan() {
-	windows, err := dp.QueueAwareWindows(queue.US25Params(),
-		dp.ConstantArrivalRate(queue.VehPerHour(153)), 0, 800)
-	if err != nil {
-		panic(err)
-	}
-	res, err := dp.GreedyPlan(dp.Config{
-		Route:        road.US25(),
-		Vehicle:      ev.SparkEV(),
-		StopDwellSec: 2,
-		Windows:      windows,
-	})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("penalized=%v, covers %.0f m\n", res.Penalized, res.Profile.Distance())
-	// Output:
-	// penalized=false, covers 4200 m
-}

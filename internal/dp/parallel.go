@@ -177,8 +177,6 @@ func (s *stageRelax) run(workers int, pool *relaxPool) int {
 
 // gather relaxes the destination columns [j2a, j2b]. Only this call writes
 // those columns' cells and range entries.
-//
-//lint:hot
 func (s *stageRelax) gather(j2a, j2b int, sc *relaxScratch) int {
 	expanded := 0
 	kw := s.kMax + 1

@@ -1,6 +1,7 @@
 package dp
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -123,5 +124,83 @@ func TestOptimizeWorkersValidation(t *testing.T) {
 	cfg.Workers = -2
 	if _, err := Optimize(cfg); err == nil {
 		t.Fatal("negative worker count accepted")
+	}
+}
+
+// TestStageGatherAllocFree pins the sweep's per-stage relaxation as
+// allocation-free: gather runs once per worker per stage of every solve
+// and table build, so all its buffers come from the relaxPool. The stage
+// is the one entering the coarse US-25 grid's first windowed signal,
+// relaxed from a real sweep, so the window-penalty path runs too.
+func TestStageGatherAllocFree(t *testing.T) {
+	cfg := stitchRequest(t, stitchGrids()[1], 0)
+	cfg.applyDefaults()
+	if err := cfg.validate(); err != nil {
+		t.Fatal(err)
+	}
+	g, err := buildGrid(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages, err := buildStages(cfg, g.n, g.ds, g.jMax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows := shrunkWindows(&cfg, stages)
+	a := 1
+	for ; a < g.n; a++ {
+		if _, ok := windows[a+1]; ok {
+			break
+		}
+	}
+	if a == g.n {
+		t.Fatal("no windowed stage on the test route")
+	}
+	bands := newAccelBands(&cfg, g.ds, g.jMax)
+	trans := newTransitionCache(&cfg, g.ds, g.jMax, bands)
+	kw := g.kMax + 1
+	width := (g.jMax + 1) * kw
+	slabs := &solveSlabs{
+		vals:  make([]float64, 4*width),
+		backs: make([]int32, g.n*width),
+		pool:  newRelaxPool(1, g.jMax+1, kw),
+	}
+	cost, exact, _, err := sweep(context.Background(), &cfg, g, stages, windows, bands, trans, slabs, 0, a, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nxtCost, nxtBack := make([]float64, width), make([]int32, width)
+	fillF64(nxtCost, inf)
+	fillI32(nxtBack, -1)
+	cur, nxt := stages[a], stages[a+1]
+	ws, hasWin := windows[a+1]
+	pool := slabs.pool
+	for _, asm := range []bool{false, asmSupported} {
+		sr := &stageRelax{
+			kMax: g.kMax, tw: g.jMax + 1,
+			curMinJ: cur.minJ, curMaxJ: cur.maxJ,
+			nxtMinJ: nxt.minJ, nxtMaxJ: nxt.maxJ,
+			bands:   bands,
+			tr:      trans.forGrade(cfg.Route.GradeAt(cur.posM + g.ds/2)),
+			dTauT:   trans.dTauT,
+			curCost: cost, curExact: exact,
+			nxtCost: nxtCost, nxtExact: make([]float64, width),
+			nxtBack: nxtBack,
+			dwell:   cur.dwellSec, timeW: cfg.TimeWeightAhPerSec,
+			maxTrip: cfg.MaxTripSec, invDt: 1 / cfg.DtSec,
+			depart: cfg.DepartTime, penalty: cfg.PenaltyAh,
+			ws: ws, hasWin: hasWin,
+			kLo: pool.kLo, kHi: pool.kHi, nxtKLo: pool.nxtKLo, nxtKHi: pool.nxtKHi,
+			useAsm: asm,
+		}
+		if n := sr.gather(sr.nxtMinJ, sr.nxtMaxJ, &pool.per[0]); n == 0 {
+			t.Fatalf("%s: stage %d relaxed no states", kernelName(asm), a)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			sr.gather(sr.nxtMinJ, sr.nxtMaxJ, &pool.per[0])
+		})
+		if allocs != 0 {
+			t.Errorf("%s: stageRelax.gather allocates %.1f times per call, want 0", kernelName(asm), allocs)
+		}
 	}
 }

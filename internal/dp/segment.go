@@ -385,8 +385,6 @@ type stitchStep struct {
 // The filter is exact: destination costs only fall during a boundary step
 // and the penalty is non-negative (Config.validate), so a lane with
 // cand >= cost before the commit can never pass nc < cost during it.
-//
-//lint:hot
 func (st *stitchStep) commit(et *entryTable, lanes *relaxScratch, n int, from int32) {
 	wi, last := 0, 0.0
 	tt, cd, kf := lanes.tot[:n], lanes.cand[:n], lanes.k2f[:n]

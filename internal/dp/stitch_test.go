@@ -190,6 +190,62 @@ func TestStitchCtxWarmAllocs(t *testing.T) {
 	}
 }
 
+// TestStitchCommitAllocFree pins the stitch's scalar commit as
+// allocation-free: it runs once per finite source cell of every boundary
+// of every request. The lanes are one real entry table's crossings into
+// the coarse grid's first windowed boundary, unfiltered, so every
+// in-budget lane reaches the window test and the cell compare.
+func TestStitchCommitAllocFree(t *testing.T) {
+	grid := stitchGrids()[1]
+	rt := buildTestTables(t, grid)
+	cfg := stitchRequest(t, grid, 0)
+	cfg.applyDefaults()
+	windows := shrunkWindows(&cfg, rt.stages)
+	s := 0
+	for ; s < len(rt.specs); s++ {
+		if _, ok := windows[rt.specs[s].EndStage]; ok {
+			break
+		}
+	}
+	if s == len(rt.specs) {
+		t.Fatal("no windowed boundary on the test route")
+	}
+	et := &rt.entries[s][0]
+	n := len(et.exitJ)
+	if n == 0 {
+		t.Fatalf("segment %d entry 0 has no crossings", s)
+	}
+	kw := rt.grid.kMax + 1
+	dst := rt.stages[rt.specs[s].EndStage]
+	band := (dst.maxJ - dst.minJ + 1) * kw
+	ws, hasWin := windows[rt.specs[s].EndStage]
+	step := stitchStep{
+		ws: ws, hasWin: hasWin, depart: cfg.DepartTime, penalty: cfg.PenaltyAh,
+		cost: make([]float64, band), exact: make([]float64, band),
+		from: make([]int32, band), cross: make([]int32, band),
+	}
+	fillF64(step.cost, inf)
+	lanes := newRelaxScratch(n)
+	relaxEval(lanes.cand, lanes.tot, lanes.k2f, lanes.mask, et.costAh, et.durSec,
+		0, 0, 0, cfg.MaxTripSec, 1/cfg.DtSec, float64(rt.grid.kMax), false)
+	step.commit(et, &lanes, n, 0)
+	reached := 0
+	for _, c := range step.cost {
+		if c < inf {
+			reached++
+		}
+	}
+	if reached == 0 {
+		t.Fatalf("commit into boundary %d reached no cell", s)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		step.commit(et, &lanes, n, 0)
+	})
+	if allocs != 0 {
+		t.Errorf("stitchStep.commit allocates %.1f times per call, want 0", allocs)
+	}
+}
+
 // BenchmarkStitchUS25 times a warm production-grid stitch (tables built
 // outside the timer), the per-request cost a serving node pays, once per
 // window variant: the improvement pre-test passes a different share of

@@ -15,25 +15,25 @@
 //   - floateq: no ==/!= on floating-point operands in the numeric
 //     packages (bit-identical parallel relaxation, PR 1, depends on
 //     disciplined float handling).
-//   - atomiccounter: values captured by par.ForEach workers or go
-//     statements must be mutated through sync/atomic, the metrics API, a
-//     mutex, or index-addressed slots — never bare captured scalars.
 //
-// Four analyzers guard the determinism and concurrency contract
-// directly (DESIGN.md §14); detcheck and lockheld report per-function
-// facts the summary layer scans once (summary.go), lockheld's through
-// the statement-graph walker in flow.go:
+// The other three guard the wire and determinism contracts (DESIGN.md
+// §14/§15). detcheck reads the per-function sites the summary layer
+// scans once (summary.go); puritycert reads the interprocedural
+// summaries built on the call graph (callgraph.go):
 //
 //   - detcheck: no order-dependent accumulation or serialization inside
 //     map ranges (use stable.SortedKeys), no clock-seeded or global
 //     math/rand sources, no wall-clock reads in pure solver packages.
-//   - lockheld: no blocking calls (channels, sync waits, network I/O)
-//     while a mutex may still be held, tracked flow-sensitively across
-//     branches, early returns and defer-unlock.
-//   - goleak: goroutines launched in request-path functions need a
-//     visible join or cancellation edge.
 //   - errflow: wire-boundary errors (Encode/Decode/Close/Write/Flush)
 //     are handled or discarded explicitly with `_ =`, never silently.
+//   - puritycert: the DP and neural solver entrypoints carry
+//     `//lint:certify pure` and reach no wall-clock, global-rand,
+//     map-order or global-write effect through any static call chain.
+//
+// Concurrency hazards — racy counters, locks held across blocking
+// calls, lock order, leaked goroutines — are left to the race detector
+// and the chaos and goroutine-settle tests (DESIGN.md §10 records the
+// history audit behind that split).
 //
 // Findings can be suppressed, narrowly, with a pragma on the same line or
 // the line above:

@@ -3,11 +3,10 @@ package lint
 // This file is the interprocedural half of the suite's analysis
 // infrastructure (DESIGN.md §15): a package-level call graph over the
 // already-type-checked ASTs of every package in one lint invocation.
-// The intra-procedural analyzers (detcheck, lockheld, ctxcheck, …) stop
-// at function boundaries; the graph built here, plus the bottom-up
-// per-function summaries in summary.go, lets puritycert, lockorder,
-// ctxprop and hotalloc reason about what a call REACHES, not just what a
-// body contains.
+// The intra-procedural analyzers (detcheck, ctxcheck, …) stop at
+// function boundaries; the graph built here, plus the bottom-up
+// per-function summaries in summary.go, lets puritycert reason about
+// what a call REACHES, not just what a body contains.
 //
 // Resolution policy, in decreasing order of precision:
 //
@@ -20,14 +19,12 @@ package lint
 //     summary.go (scanSites);
 //   - calls through function values, fields, parameters, method values
 //     and interface methods do NOT resolve — the caller's summary is
-//     marked Dynamic and the analyzers built on top document how they
-//     treat that hole (see DESIGN.md §15).
+//     marked Dynamic and puritycert documents how it treats that hole
+//     (see DESIGN.md §15).
 //
 // Function literals are attributed to their enclosing declared function:
-// a literal's effects, lock acquisitions and allocation sites belong to
-// whoever defined it (conservative for certification — the literal may
-// only run later, or never), while its *blocking* behaviour does not
-// propagate (a `go func(){ <-ch }()` parks a goroutine, not the caller).
+// a literal's effects belong to whoever defined it (conservative for
+// certification — the literal may only run later, or never).
 
 import (
 	"go/ast"
@@ -49,9 +46,6 @@ type Program struct {
 	// order holds the nodes in deterministic (file, position) order so
 	// every walk over "all functions" is stable run to run.
 	order []*fnode
-
-	lockGraph *lockGraph        // built lazily by lockorder, cached here
-	hotReach  map[*fnode]string // built lazily by hotalloc, cached here
 }
 
 // fnode is one declared function or method with a body.
@@ -75,10 +69,6 @@ type callSite struct {
 	pos    token.Pos
 	callee *types.Func // resolved callee (may be external to the Program)
 	target *fnode      // non-nil when the callee has a body in the Program
-	// noBlock marks calls whose blocking does not stall this function:
-	// the call is a `go` statement's call, or sits inside a function
-	// literal (which runs on its own activation).
-	noBlock bool
 }
 
 // BuildProgram constructs the call graph over pkgs and computes the
@@ -127,45 +117,18 @@ func BuildProgram(pkgs []*Package) *Program {
 }
 
 // collectCalls walks n's body recording resolved call sites in source
-// order. Function literal bodies are included (attributed to n) with
-// noBlock set; calls launched by `go` statements are likewise noBlock.
+// order. Function literal bodies are included (attributed to n).
 func collectCalls(prog *Program, n *fnode) {
-	var scan func(node ast.Node, noBlock bool)
-	scan = func(node ast.Node, noBlock bool) {
-		ast.Inspect(node, func(nd ast.Node) bool {
-			switch nd := nd.(type) {
-			case *ast.FuncLit:
-				scan(nd.Body, true)
-				return false
-			case *ast.GoStmt:
-				// The spawned call itself cannot block the caller; its
-				// arguments are evaluated synchronously and are scanned
-				// with the surrounding noBlock mode.
-				if fn := resolveCallee(n.pkg.TypesInfo, nd.Call); fn != nil {
-					n.calls = append(n.calls, callSite{
-						pos: nd.Call.Pos(), callee: fn, target: prog.funcs[fn], noBlock: true,
-					})
-				} else if !isBuiltinOrConversion(n.pkg.TypesInfo, nd.Call) {
-					n.markDynamic(nd.Call.Pos())
-				}
-				for _, arg := range nd.Call.Args {
-					scan(arg, noBlock)
-				}
-				return false
-			case *ast.CallExpr:
-				if fn := resolveCallee(n.pkg.TypesInfo, nd); fn != nil {
-					n.calls = append(n.calls, callSite{
-						pos: nd.Pos(), callee: fn, target: prog.funcs[fn], noBlock: noBlock,
-					})
-				} else if !isBuiltinOrConversion(n.pkg.TypesInfo, nd) {
-					n.markDynamic(nd.Pos())
-				}
-				return true
+	ast.Inspect(n.decl.Body, func(nd ast.Node) bool {
+		if call, ok := nd.(*ast.CallExpr); ok {
+			if fn := resolveCallee(n.pkg.TypesInfo, call); fn != nil {
+				n.calls = append(n.calls, callSite{pos: call.Pos(), callee: fn, target: prog.funcs[fn]})
+			} else if !isBuiltinOrConversion(n.pkg.TypesInfo, call) {
+				n.markDynamic(call.Pos())
 			}
-			return true
-		})
-	}
-	scan(n.decl.Body, false)
+		}
+		return true
+	})
 }
 
 // dynamicSites records, pre-summary, where a node performs calls the

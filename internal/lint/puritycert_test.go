@@ -19,7 +19,7 @@ func TestPurityCert(t *testing.T) {
 // no required entrypoints, and uncertified functions there are never
 // findings.
 func TestPurityCertOutOfScope(t *testing.T) {
-	res := lint.RunFixture(t, lint.PurityCert, "ctxprop/plain")
+	res := lint.RunFixture(t, lint.PurityCert, "puritycert/plain")
 	if n := len(res.Active) + len(res.Allowed); n != 0 {
 		t.Fatalf("puritycert fired %d finding(s) outside its scope", n)
 	}

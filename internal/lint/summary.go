@@ -2,42 +2,28 @@ package lint
 
 // Bottom-up per-function summaries over the call graph (callgraph.go),
 // computed SCC by SCC in callees-first order with a fixpoint iteration
-// inside cycles. Each summary records four families of facts, every one
-// carrying a witness chain (the call path to the root cause) so the
-// analyzers built on top can explain a transitive finding end-to-end:
-//
-//   - effects: nondeterministic inputs the function may observe — wall
-//     clock reads, global math/rand draws, order-dependent folds inside
-//     map ranges, package-level variable mutation;
-//   - lock sets: which lock classes the function may acquire, and the
-//     lock→lock acquisition-order edges it establishes (lock B taken
-//     while A is held), tracked flow-sensitively with the walker in
-//     flow.go so early-exit unlocks stay precise; the same walk lists
-//     every parking operation reached while a lock may be held;
-//   - blocking: whether the function may park — channel operations,
-//     selects without a default, time.Sleep, HTTP round trips — plus the
-//     ctxprop-specific refinement "blocks with no context.Context
-//     parameter anywhere on the path" (unguarded blocking);
-//   - allocation: whether the function may allocate on the hot path —
-//     make/new/append, slice, map and pointer composite literals, and
-//     fmt calls (interface boxing).
+// inside cycles. Each summary records the nondeterministic effects a
+// function may observe — wall-clock reads, global math/rand draws,
+// order-dependent folds inside map ranges, package-level variable
+// mutation — every one carrying a witness chain (the call path to the
+// root cause) so puritycert can explain a transitive finding
+// end-to-end.
 //
 // The facts a body establishes by itself come from one scan per
 // function (scanSites), which keeps every site with its position:
-// detcheck and hotalloc report those lists directly, and the summaries
-// fold them into first-witness facts.
+// detcheck reports those lists directly, and the summaries fold them
+// into first-witness facts.
 //
 // The contract with consumers (DESIGN.md §15): facts are MAY facts and
 // monotone — a call site unions the callee's summary into the caller —
 // so fixpoints converge; dynamic calls (function values, interface
-// methods) contribute no facts but set Dynamic, and each analyzer
+// methods) contribute no facts but set Dynamic, and puritycert
 // documents how it treats that hole.
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"slices"
 	"sort"
 	"strings"
 )
@@ -67,36 +53,14 @@ type witness struct {
 // A Summary is the interprocedural fact set of one declared function.
 type Summary struct {
 	effects [numEffects]*witness
-	// blocking: any parking operation, sync.WaitGroup/Cond waits
-	// included (the join discipline lockheld already polices).
-	blocking *witness
-	// unguarded: the ctxprop refinement — the function may park on a
-	// channel/select/sleep/HTTP op and has NO context.Context parameter,
-	// or calls such a function; the deadline cannot reach the block.
-	// Functions WITH a ctx parameter never propagate this upward: the
-	// drop (if any) is reported inside them, where the ctx went missing.
-	unguarded *witness
-	allocs    *witness
-
-	// acquires: lock classes the function may take at some point during
-	// a call (transitively), each with the witness that first saw it.
-	acquires map[string]*witness
-	// lockEdges: acquisition-order edges "B taken while A held", keyed
-	// A\x00B, with the position that established the edge.
-	lockEdges map[string]*witness
 
 	// sites lists every fact the body establishes directly, scanned once
 	// (scanSites); each fixpoint iteration folds the first of each list
 	// into the witnesses above.
 	sites directSites
-	// heldBlocks: every parking operation the lock walk reached while a
-	// lock may be held, in walk order — lockheld's findings.
-	heldBlocks []heldBlock
 
-	hasCtx    bool // signature carries context.Context or *http.Request
 	dynamic   bool // has call sites the graph could not resolve
 	certified bool // carries //lint:certify pure
-	hot       bool // carries //lint:hot
 }
 
 // summarize scans every node's body once for its direct sites, then
@@ -111,7 +75,7 @@ func summarize(prog *Program) {
 		for {
 			changed := false
 			for _, n := range scc {
-				if computeSummary(prog, n) {
+				if computeSummary(n) {
 					changed = true
 				}
 			}
@@ -123,25 +87,18 @@ func summarize(prog *Program) {
 }
 
 func newSummary(n *fnode) *Summary {
-	s := &Summary{
+	return &Summary{
 		sites:     scanSites(n.pkg.TypesInfo, n.decl.Body),
-		acquires:  make(map[string]*witness),
-		lockEdges: make(map[string]*witness),
-		hasCtx:    signatureCarriesCtx(n.fn),
+		dynamic:   n.dynamicPos != token.NoPos,
 		certified: declHasPragma(n.decl, "//lint:certify pure"),
-		hot:       declHasPragma(n.decl, "//lint:hot"),
 	}
-	if n.dynamicPos != token.NoPos {
-		s.dynamic = true
-	}
-	return s
 }
 
 // computeSummary (re)derives n's facts from its direct sites and the
 // CURRENT summaries of its callees, reporting whether anything new
 // appeared — the fixpoint test inside an SCC. Facts only ever turn on,
 // so the iteration terminates.
-func computeSummary(prog *Program, n *fnode) bool {
+func computeSummary(n *fnode) bool {
 	s := n.sum
 	before := s.factKey()
 
@@ -155,9 +112,6 @@ func computeSummary(prog *Program, n *fnode) bool {
 			s.dynamic = true
 		}
 	}
-
-	lockWalk(prog, n)
-
 	return s.factKey() != before
 }
 
@@ -171,29 +125,8 @@ func (s *Summary) factKey() string {
 			b.WriteByte(byte('0' + i))
 		}
 	}
-	if s.blocking != nil {
-		b.WriteByte('B')
-	}
-	if s.unguarded != nil {
-		b.WriteByte('U')
-	}
-	if s.allocs != nil {
-		b.WriteByte('A')
-	}
 	if s.dynamic {
 		b.WriteByte('D')
-	}
-	keys := make([]string, 0, len(s.acquires)+len(s.lockEdges))
-	for k := range s.acquires {
-		keys = append(keys, "a"+k)
-	}
-	for k := range s.lockEdges {
-		keys = append(keys, "e"+k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte(';')
 	}
 	return b.String()
 }
@@ -201,120 +134,58 @@ func (s *Summary) factKey() string {
 // A site is one fact a body establishes directly, at one position.
 type site struct {
 	pos  token.Pos
-	what string // witness text: "channel send", "time.Now()", "make", …
+	what string // witness text: "time.Now()", "writes package-level var x", …
 	arg  string // the package function a call names ("Now"), or a map fold's lvalue ("out")
-	join bool   // a blocking site that is a sync WaitGroup/Cond wait
 }
 
-// directSites lists, by kind and in source order, every fact a syntax
+// directSites lists, by kind and in source order, every effect a syntax
 // tree establishes without following calls.
 type directSites struct {
 	effects [numEffects][]site
-	blocks  []site
-	allocs  []site
 }
 
 // foldSites sets the first-witness facts the direct sites establish.
-// Sync waits are blocking but never unguarded: a join on workers that
-// carry the ctx themselves is the blessed fan-out shape (par.ForEach).
 func (s *Summary) foldSites() {
 	for kind, list := range s.sites.effects {
 		if len(list) > 0 {
 			s.setEffect(kind, list[0].pos, list[0].what, nil)
 		}
 	}
-	for _, b := range s.sites.blocks {
-		s.setBlocking(b.pos, b.what, nil)
-		if !b.join {
-			s.setUnguarded(b.pos, b.what, nil)
-		}
-	}
-	if len(s.sites.allocs) > 0 {
-		s.setAlloc(s.sites.allocs[0].pos, s.sites.allocs[0].what, nil)
-	}
 }
 
 // scanSites is the suite's one classifier of per-site facts: a single
-// walk of root recording every parking operation, allocation,
-// nondeterministic call, order-dependent map fold and package-level
-// write. Function literals, a go statement's spawned call and a select's
-// comm clauses count for effects and allocations (they belong to whoever
-// wrote them) but not for blocking: a literal or a spawned call parks
-// its own goroutine, and a comm operation parks only through its select.
-// A go statement's function value and arguments are evaluated by the
-// caller, so they keep the enclosing mode: `go g(<-ch)` parks the caller.
+// walk of root recording every nondeterministic call, order-dependent
+// map fold and package-level write. Function literals and go statements
+// are walked like any other code: their effects belong to whoever wrote
+// them.
 func scanSites(info *types.Info, root ast.Node) directSites {
 	var ds directSites
-	var scan func(node ast.Node, noBlock bool)
-	scan = func(node ast.Node, noBlock bool) {
-		ast.Inspect(node, func(nd ast.Node) bool {
-			if what, join, ok := parkingOp(info, nd); ok && !noBlock {
-				ds.blocks = append(ds.blocks, site{pos: nd.Pos(), what: what, join: join})
+	ast.Inspect(root, func(nd ast.Node) bool {
+		switch nd := nd.(type) {
+		case *ast.RangeStmt:
+			if isMap(info, nd.X) {
+				ds.effects[effMapOrder] = append(ds.effects[effMapOrder], mapRangeHazards(info, nd)...)
 			}
-			switch nd := nd.(type) {
-			case *ast.FuncLit:
-				scan(nd.Body, true)
-				return false
-			case *ast.GoStmt:
-				ds.call(info, nd.Call)
-				scan(nd.Call.Fun, noBlock)
-				for _, arg := range nd.Call.Args {
-					scan(arg, noBlock)
-				}
-				return false
-			case *ast.SelectStmt:
-				for _, c := range nd.Body.List {
-					cc := c.(*ast.CommClause)
-					if cc.Comm != nil {
-						scan(cc.Comm, true)
-					}
-					for _, st := range cc.Body {
-						scan(st, noBlock)
-					}
-				}
-				return false
-			case *ast.RangeStmt:
-				if isMap(info, nd.X) {
-					ds.effects[effMapOrder] = append(ds.effects[effMapOrder], mapRangeHazards(info, nd)...)
-				}
-			case *ast.AssignStmt:
-				for _, lhs := range nd.Lhs {
-					ds.globalWrite(info, lhs)
-				}
-			case *ast.IncDecStmt:
-				ds.globalWrite(info, nd.X)
-			case *ast.CompositeLit:
-				if what, ok := allocatingLiteral(info, nd); ok {
-					ds.allocs = append(ds.allocs, site{pos: nd.Pos(), what: what})
-				}
-			case *ast.CallExpr:
-				ds.call(info, nd)
+		case *ast.AssignStmt:
+			for _, lhs := range nd.Lhs {
+				ds.globalWrite(info, lhs)
 			}
-			return true
-		})
-	}
-	scan(root, false)
+		case *ast.IncDecStmt:
+			ds.globalWrite(info, nd.X)
+		case *ast.CallExpr:
+			ds.call(info, nd)
+		}
+		return true
+	})
 	return ds
 }
 
-// builtinAllocs names the allocating builtins.
-var builtinAllocs = map[string]string{"append": "append growth", "make": "make", "new": "new"}
-
-// call records one call's direct allocations and nondeterministic
-// effects: allocating builtins, fmt (interface boxing), wall-clock reads
-// and the global math/rand stream. In-Program callees are merged
-// separately (mergeCallee); other external calls are assumed pure and
-// allocation-free — the standard library is loaded API-only, and this
-// table covers the calls that matter (DESIGN.md §15).
+// call records one call's direct nondeterministic effects: wall-clock
+// reads and the global math/rand stream. In-Program callees are merged
+// separately (mergeCallee); other external calls are assumed pure — the
+// standard library is loaded API-only, and this table covers the calls
+// that matter (DESIGN.md §15).
 func (ds *directSites) call(info *types.Info, call *ast.CallExpr) {
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
-		if b, isB := info.Uses[id].(*types.Builtin); isB {
-			if what := builtinAllocs[b.Name()]; what != "" {
-				ds.allocs = append(ds.allocs, site{pos: call.Pos(), what: what})
-			}
-			return
-		}
-	}
 	pkgPath, name, ok := pkgFuncOf(info, call)
 	switch {
 	case !ok:
@@ -322,8 +193,6 @@ func (ds *directSites) call(info *types.Info, call *ast.CallExpr) {
 		ds.effects[effTime] = append(ds.effects[effTime], site{pos: call.Pos(), what: "time." + name + "()", arg: name})
 	case pkgPath == "math/rand" && globalRandFns[name]:
 		ds.effects[effRand] = append(ds.effects[effRand], site{pos: call.Pos(), what: "rand." + name + " (global source)", arg: name})
-	case pkgPath == "fmt":
-		ds.allocs = append(ds.allocs, site{pos: call.Pos(), what: "fmt." + name + " (interface boxing)"})
 	}
 }
 
@@ -334,49 +203,6 @@ func (ds *directSites) globalWrite(info *types.Info, lhs ast.Expr) {
 	}
 }
 
-// parkingOp classifies one node as an operation that may park the
-// goroutine — for the direct scan and the lock walk alike: channel
-// sends and receives, range over a channel, a select without default,
-// time.Sleep, HTTP round trips (the net/http helpers and http.Client
-// methods), and sync WaitGroup/Cond waits (join).
-func parkingOp(info *types.Info, nd ast.Node) (what string, join, ok bool) {
-	switch nd := nd.(type) {
-	case *ast.SendStmt:
-		return "channel send", false, true
-	case *ast.UnaryExpr:
-		return "channel receive", false, nd.Op == token.ARROW
-	case *ast.SelectStmt:
-		return "select without default", false, !hasDefaultClause(nd.Body)
-	case *ast.RangeStmt:
-		if t := info.Types[nd.X].Type; t != nil {
-			_, isChan := t.Underlying().(*types.Chan)
-			return "range over channel", false, isChan
-		}
-	case *ast.CallExpr:
-		if pkgPath, name, isPkgFn := pkgFuncOf(info, nd); isPkgFn {
-			switch {
-			case pkgPath == "time" && name == "Sleep":
-				return "time.Sleep", false, true
-			case pkgPath == "net/http" && blockingHTTPFns[name]:
-				return "http." + name, false, true
-			}
-			return "", false, false
-		}
-		sel, isSel := unparen(nd.Fun).(*ast.SelectorExpr)
-		if !isSel {
-			return "", false, false
-		}
-		recv := receiverType(info, sel)
-		switch name := sel.Sel.Name; {
-		case name == "Wait" && isSyncWaitType(recv):
-			return "sync " + exprText(sel.X) + ".Wait", true, true
-		case (name == "Do" || blockingHTTPFns[name]) && recv != nil && types.TypeString(recv, nil) == "net/http.Client":
-			return "http.Client." + name, false, true
-		}
-	}
-	return "", false, false
-}
-
 // mergeCallee unions a resolved in-Program callee's summary into the
 // caller at one call site.
 func mergeCallee(s *Summary, cs callSite, callee *Summary) {
@@ -385,267 +211,12 @@ func mergeCallee(s *Summary, cs callSite, callee *Summary) {
 			s.setEffect(i, cs.pos, w.what, cs.callee)
 		}
 	}
-	if callee.blocking != nil && !cs.noBlock {
-		s.setBlocking(cs.pos, callee.blocking.what, cs.callee)
-	}
-	// The unguarded refinement stops at ctx boundaries: a callee WITH a
-	// ctx parameter owns its own blocking discipline (and any drop
-	// inside it is reported there by ctxprop).
-	if callee.unguarded != nil && !callee.hasCtx && !cs.noBlock {
-		s.setUnguarded(cs.pos, callee.unguarded.what, cs.callee)
-	}
-	if callee.allocs != nil {
-		s.setAlloc(cs.pos, callee.allocs.what, cs.callee)
-	}
-	for class, w := range callee.acquires {
-		if s.acquires[class] == nil {
-			s.acquires[class] = &witness{pos: cs.pos, what: w.what, via: cs.callee}
-		}
-	}
-	// lockEdges deliberately do NOT propagate: an order edge is a global
-	// fact already, owned by the function whose body (or call-with-held-
-	// lock) established it — lockorder assembles the whole-program graph
-	// from every function's own edges, and keeping them local gives each
-	// edge exactly one owning package to report (and waive) in.
 }
 
 func (s *Summary) setEffect(kind int, pos token.Pos, what string, via *types.Func) {
 	if s.effects[kind] == nil {
 		s.effects[kind] = &witness{pos: pos, what: what, via: via}
 	}
-}
-
-func (s *Summary) setBlocking(pos token.Pos, what string, via *types.Func) {
-	if s.blocking == nil {
-		s.blocking = &witness{pos: pos, what: what, via: via}
-	}
-}
-
-func (s *Summary) setUnguarded(pos token.Pos, what string, via *types.Func) {
-	if s.hasCtx {
-		return // a ctx parameter is in scope; drops are ctxprop's per-call-site business
-	}
-	if s.unguarded == nil {
-		s.unguarded = &witness{pos: pos, what: what, via: via}
-	}
-}
-
-func (s *Summary) setAlloc(pos token.Pos, what string, via *types.Func) {
-	if s.allocs == nil {
-		s.allocs = &witness{pos: pos, what: what, via: via}
-	}
-}
-
-// A heldBlock is a parking operation the lock walk reached while locks
-// may be held — one lockheld finding.
-type heldBlock struct {
-	pos   token.Pos
-	what  string // parkingOp's text: "channel send", "sync g.wg.Wait", …
-	locks string // the may-held lock expressions, sorted: "g.mu, g.rw"
-}
-
-// lockWalk runs the flow walker over n's body tracking the locks that
-// may be held. It records the lock classes n acquires and the order
-// edges it establishes (lockorder), and every parking operation reached
-// with a lock held (lockheld). Callee acquisitions (from the current
-// summaries) establish edges too: holding A while calling a function
-// that takes B is an A→B edge even though no Lock() appears here. Held
-// sets never depend on callee summaries, so each walk rebuilds the same
-// heldBlocks list.
-func lockWalk(prog *Program, n *fnode) {
-	v := &lockVisitor{prog: prog, info: n.pkg.TypesInfo, s: n.sum}
-	n.sum.heldBlocks = n.sum.heldBlocks[:0]
-	walkFlow(n.decl.Body, v)
-	// Function literals hold no caller locks at entry (they run on their
-	// own activation), but their own acquisitions, edges and held blocks
-	// belong to this declaration. Every literal, nested ones included,
-	// gets its own walk from an empty held set.
-	ast.Inspect(n.decl.Body, func(nd ast.Node) bool {
-		if lit, ok := nd.(*ast.FuncLit); ok {
-			walkFlow(lit.Body, v)
-		}
-		return true
-	})
-}
-
-// lockVisitor is lockWalk's flowVisitor. A held fact is keyed by the
-// lock expression and its class, "g.mu\x00cloud.group.mu": the
-// expression names the lock in lockheld's message and lets an Unlock
-// release only the receiver it names; the class forms order edges.
-type lockVisitor struct {
-	prog *Program
-	info *types.Info
-	s    *Summary
-}
-
-// transfer checks what stmt evaluates itself. A go or defer statement's
-// call runs elsewhere or at exit (a deferred unlock keeps the lock held,
-// so a later block still counts); only its function value and arguments
-// are evaluated here, under whatever is held now.
-func (v *lockVisitor) transfer(stmt ast.Stmt, held factSet) {
-	v.parks(stmt, held)
-	inspectShallow(headerExprs(stmt), func(nd ast.Node) bool {
-		v.parks(nd, held)
-		if call, ok := nd.(*ast.CallExpr); ok {
-			v.transferCall(call, held)
-		}
-		return true
-	})
-}
-
-func (v *lockVisitor) transferCall(call *ast.CallExpr, held factSet) {
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && isMutexType(receiverType(v.info, sel)) {
-		class, _ := lockClassOf(v.info, sel.X)
-		key := exprText(sel.X) + "\x00" + class
-		switch sel.Sel.Name {
-		case "Lock", "RLock":
-			v.acquire(class, call.Pos(), held, nil)
-			if _, ok := held[key]; !ok {
-				held[key] = call.Pos()
-			}
-		case "Unlock", "RUnlock":
-			delete(held, key)
-		}
-		return
-	}
-	// A call to a summarized function that itself acquires locks
-	// establishes order edges from everything held here. The class does
-	// NOT become held: a summarized callee is assumed to release what it
-	// takes (unbalanced lock helpers lose follow-on edges; a conservative
-	// miss, never a false edge).
-	callee := resolveCallee(v.info, call)
-	if callee == nil {
-		return
-	}
-	target := v.prog.funcs[callee]
-	if target == nil || target.sum == nil {
-		return
-	}
-	for _, class := range sortedKeys(target.sum.acquires) {
-		v.acquire(class, call.Pos(), held, callee)
-	}
-}
-
-// acquire records taking lock class `class` with `held` currently held:
-// the class joins the summary's acquire set and every held→class pair
-// becomes an order edge. An unresolved class ("") records nothing.
-func (v *lockVisitor) acquire(class string, pos token.Pos, held factSet, via *types.Func) {
-	if class == "" {
-		return
-	}
-	if v.s.acquires[class] == nil {
-		v.s.acquires[class] = &witness{pos: pos, what: class, via: via}
-	}
-	for key := range held {
-		from := key[strings.IndexByte(key, 0)+1:]
-		if from == "" || from == class {
-			continue // re-entry is lockheld/runtime territory, not an order edge
-		}
-		edge := from + "\x00" + class
-		if v.s.lockEdges[edge] == nil {
-			v.s.lockEdges[edge] = &witness{pos: pos, what: from + " -> " + class, via: via}
-		}
-	}
-}
-
-// parks records nd as a held block when it may park while a lock may be
-// held. Loop bodies are walked twice; the first record of a position
-// stands.
-func (v *lockVisitor) parks(nd ast.Node, held factSet) {
-	if len(held) == 0 {
-		return
-	}
-	what, _, ok := parkingOp(v.info, nd)
-	if !ok {
-		return
-	}
-	for _, b := range v.s.heldBlocks {
-		if b.pos == nd.Pos() {
-			return
-		}
-	}
-	locks := make([]string, 0, len(held))
-	for key := range held {
-		locks = append(locks, key[:strings.IndexByte(key, 0)])
-	}
-	sort.Strings(locks)
-	v.s.heldBlocks = append(v.s.heldBlocks, heldBlock{pos: nd.Pos(), what: what, locks: strings.Join(slices.Compact(locks), ", ")})
-}
-
-// lockClassOf canonicalizes a lock expression to a stable class name:
-// field locks key by their defining struct ("cloud.Server.mu" — one
-// class per field, all instances collapsed, the standard lock-class
-// abstraction), package-level locks by package path and name, local
-// locks by declaration position.
-func lockClassOf(info *types.Info, expr ast.Expr) (string, bool) {
-	expr = unparen(expr)
-	switch e := expr.(type) {
-	case *ast.SelectorExpr:
-		obj := info.Uses[e.Sel]
-		if obj == nil {
-			return "", false
-		}
-		// Field selection: qualify by the receiver's named type.
-		t := info.Types[e.X].Type
-		if t != nil {
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			if named, ok := t.(*types.Named); ok {
-				return types.TypeString(named, shortPkgQualifier) + "." + e.Sel.Name, true
-			}
-		}
-		if obj.Pkg() != nil {
-			return lastSegment(obj.Pkg().Path()) + "." + e.Sel.Name, true
-		}
-		return e.Sel.Name, true
-	case *ast.Ident:
-		obj := info.Uses[e]
-		if obj == nil {
-			obj = info.Defs[e]
-		}
-		if obj == nil {
-			return "", false
-		}
-		if obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
-			return lastSegment(obj.Pkg().Path()) + "." + obj.Name(), true
-		}
-		// Local lock: class per declaration site.
-		return "local." + obj.Name(), true
-	}
-	return "", false
-}
-
-func shortPkgQualifier(p *types.Package) string { return lastSegment(p.Path()) }
-
-// receiverType returns the (pointer-stripped) type of a selector's
-// receiver expression, or nil.
-func receiverType(info *types.Info, sel *ast.SelectorExpr) types.Type {
-	t := info.Types[sel.X].Type
-	if p, ok := t.(*types.Pointer); ok {
-		return p.Elem()
-	}
-	return t
-}
-
-// signatureCarriesCtx reports whether the function can thread a request
-// context: an explicit context.Context parameter, an *http.Request
-// (whose Context() is the request's), or a receive-only done channel
-// (`<-chan struct{}` — the shape of ctx.Done(), the idiomatic
-// cancellation conduit for leaf helpers like cloud.sleepCtx).
-func signatureCarriesCtx(fn *types.Func) bool {
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil {
-		return false
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		t := sig.Params().At(i).Type()
-		switch types.TypeString(t, nil) {
-		case "context.Context", "*net/http.Request", "<-chan struct{}":
-			return true
-		}
-	}
-	return false
 }
 
 // declHasPragma reports whether the declaration's doc comment contains a
@@ -660,30 +231,6 @@ func declHasPragma(decl *ast.FuncDecl, pragma string) bool {
 		}
 	}
 	return false
-}
-
-// blockingHTTPFns are net/http package-level helpers that perform a full
-// round trip.
-var blockingHTTPFns = map[string]bool{"Get": true, "Post": true, "PostForm": true, "Head": true}
-
-// allocatingLiteral classifies composite literals that always heap
-// allocate: slice and map literals. Struct and array VALUE literals
-// stay silent (they live on the stack unless escape analysis says
-// otherwise, which a source-only linter cannot see); &T{...} is caught
-// at the unary & — also out of reach without escape analysis, so only
-// the guaranteed allocators are flagged.
-func allocatingLiteral(info *types.Info, lit *ast.CompositeLit) (string, bool) {
-	tv, ok := info.Types[lit]
-	if !ok || tv.Type == nil {
-		return "", false
-	}
-	switch tv.Type.Underlying().(type) {
-	case *types.Slice:
-		return "slice literal", true
-	case *types.Map:
-		return "map literal", true
-	}
-	return "", false
 }
 
 // writesPackageLevel reports whether an lvalue's root identifier is a
@@ -808,14 +355,6 @@ func nextWitness(callee *Summary, w *witness) *witness {
 			return cw
 		}
 	}
-	for _, cw := range []*witness{callee.blocking, callee.unguarded, callee.allocs} {
-		if cw != nil && cw.what == w.what {
-			return cw
-		}
-	}
-	if cw := callee.acquires[w.what]; cw != nil {
-		return cw
-	}
 	return nil
 }
 
@@ -826,15 +365,8 @@ type FuncSummary struct {
 	Func      string   `json:"func"`
 	Package   string   `json:"package"`
 	Effects   []string `json:"effects,omitempty"`
-	Blocks    bool     `json:"blocks"`
-	Unguarded bool     `json:"unguardedBlock"`
-	Allocates bool     `json:"allocates"`
-	Acquires  []string `json:"acquires,omitempty"`
-	LockEdges []string `json:"lockEdges,omitempty"`
-	CtxParam  bool     `json:"ctxParam"`
 	Dynamic   bool     `json:"dynamic"`
 	Certified bool     `json:"certified,omitempty"`
-	Hot       bool     `json:"hot,omitempty"`
 }
 
 // Summaries returns every function's exported summary, sorted by
@@ -846,22 +378,13 @@ func (p *Program) Summaries() []FuncSummary {
 		fs := FuncSummary{
 			Func:      funcDisplayName(n.fn),
 			Package:   n.pkg.PkgPath,
-			Blocks:    s.blocking != nil,
-			Unguarded: s.unguarded != nil,
-			Allocates: s.allocs != nil,
-			CtxParam:  s.hasCtx,
 			Dynamic:   s.dynamic,
 			Certified: s.certified,
-			Hot:       s.hot,
 		}
 		for i, w := range s.effects {
 			if w != nil {
 				fs.Effects = append(fs.Effects, effectNames[i])
 			}
-		}
-		fs.Acquires = sortedKeys(s.acquires)
-		for _, key := range sortedKeys(s.lockEdges) {
-			fs.LockEdges = append(fs.LockEdges, strings.ReplaceAll(key, "\x00", " -> "))
 		}
 		out = append(out, fs)
 	}

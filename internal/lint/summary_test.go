@@ -63,58 +63,6 @@ func TestSummaryFacts(t *testing.T) {
 	}
 }
 
-// TestSummaryLockFacts pins lock classes and order edges on the
-// lockorder fixture, including the edge formed by calling a lock-taking
-// helper while holding a lock.
-func TestSummaryLockFacts(t *testing.T) {
-	pkg := loadFixturePkg(t, "lockorder/internal/cloud")
-	prog := BuildProgram([]*Package{pkg})
-	sums := prog.Summaries()
-
-	lb := summaryByName(t, sums, "cloud.lockBoth")
-	if !reflect.DeepEqual(lb.Acquires, []string{"cloud.Registry.mu", "cloud.Server.mu"}) {
-		t.Errorf("lockBoth acquires = %v", lb.Acquires)
-	}
-	if !reflect.DeepEqual(lb.LockEdges, []string{"cloud.Server.mu -> cloud.Registry.mu"}) {
-		t.Errorf("lockBoth edges = %v", lb.LockEdges)
-	}
-	// The helper-call edge: Gauge.mu held across a call to bumpServer,
-	// whose summary acquires Server.mu.
-	hg := summaryByName(t, sums, "cloud.holdGaugeThenServer")
-	if !reflect.DeepEqual(hg.LockEdges, []string{"cloud.Gauge.mu -> cloud.Server.mu"}) {
-		t.Errorf("holdGaugeThenServer edges = %v", hg.LockEdges)
-	}
-	// Released before the reversed acquisition: no edges at all.
-	if s := summaryByName(t, sums, "cloud.releasedBeforeReversed"); len(s.LockEdges) != 0 {
-		t.Errorf("releasedBeforeReversed edges = %v, want none (flow-sensitive)", s.LockEdges)
-	}
-}
-
-// TestSummaryBlockingAndCtx pins the blocking/unguarded split on the
-// ctxprop fixture: a ctx-less receive is unguarded, a done-channel or
-// ctx parameter guards it, and select-with-default is not blocking.
-func TestSummaryBlockingAndCtx(t *testing.T) {
-	pkg := loadFixturePkg(t, "ctxprop/internal/cloud")
-	prog := BuildProgram([]*Package{pkg})
-	sums := prog.Summaries()
-
-	if s := summaryByName(t, sums, "(*cloud.Server).waitForSlot"); !s.Blocks || !s.Unguarded {
-		t.Errorf("waitForSlot = blocks %v unguarded %v, want both", s.Blocks, s.Unguarded)
-	}
-	if s := summaryByName(t, sums, "(*cloud.Server).waitCtx"); !s.Blocks || s.Unguarded || !s.CtxParam {
-		t.Errorf("waitCtx = blocks %v unguarded %v ctx %v, want blocking but guarded", s.Blocks, s.Unguarded, s.CtxParam)
-	}
-	if s := summaryByName(t, sums, "cloud.sleepCtx"); s.Unguarded || !s.CtxParam {
-		t.Errorf("sleepCtx = unguarded %v ctx %v, want done-channel param to count as ctx", s.Unguarded, s.CtxParam)
-	}
-	if s := summaryByName(t, sums, "(*cloud.Server).isReady"); s.Blocks {
-		t.Errorf("isReady blocks; select with default is non-blocking")
-	}
-	if s := summaryByName(t, sums, "(*cloud.Server).handleSpawn"); s.Blocks {
-		t.Errorf("handleSpawn blocks; go-statement callees park their own goroutine")
-	}
-}
-
 // TestProgramBuiltOncePerRun pins the satellite-2 contract: one Run call
 // — N analyzers × M packages — performs exactly one interprocedural
 // build.
@@ -135,9 +83,9 @@ func TestProgramBuiltOncePerRun(t *testing.T) {
 func TestRunTwiceSameDiagnostics(t *testing.T) {
 	pkgs := []*Package{
 		loadFixturePkg(t, "puritycert/dp"),
-		loadFixturePkg(t, "lockorder/internal/cloud"),
-		loadFixturePkg(t, "ctxprop/internal/cloud"),
-		loadFixturePkg(t, "hotalloc/internal/dp"),
+		loadFixturePkg(t, "detcheck/internal/dp"),
+		loadFixturePkg(t, "detcheck/internal/cloud"),
+		loadFixturePkg(t, "errflow/internal/cloud"),
 	}
 	render := func(res *Result) []string {
 		var out []string

@@ -268,8 +268,6 @@ func derivMulVec(a Activation, dst, y []float64) {
 //	v = mom·v − scale·(g + l2·w);  w += v
 //
 // with the exact scalar expression order of the reference loop.
-//
-//lint:hot
 func updateParams(w, g, vel []float64, mom, scale, l2 float64) {
 	if useAsmKernels && len(w) >= 4 {
 		updateParamsAsm(w, g, vel, mom, scale, l2)

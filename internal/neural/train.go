@@ -133,8 +133,6 @@ const (
 )
 
 // runOp dispatches one batched pass chunk to its row kernel.
-//
-//lint:hot
 func (ts *trainState) runOp(op, li, lo, hi int) {
 	switch op {
 	case opForward:
@@ -225,8 +223,6 @@ func (ts *trainState) gradRows(li, lo, hi int) {
 // outputDelta computes the output-layer δ = (y − t) ⊙ act'(y) and folds
 // each sample's ½Σe² loss into the running epoch loss, sample by sample in
 // batch order (the same accumulation sequence as the per-sample loop).
-//
-//lint:hot
 func (ts *trainState) outputDelta(epochLoss float64) float64 {
 	li := len(ts.n.Layers) - 1
 	last := ts.n.Layers[li]
@@ -280,8 +276,6 @@ func (ts *trainState) runBatch(x, y [][]float64, batch []int, cfg *TrainConfig, 
 // updateBias is the bias step: like updateParams but with no decay term at
 // all (the reference bias loop never formed g+l2·w, so even l2=0 would not
 // be bit-equivalent when g is a signed zero).
-//
-//lint:hot
 func updateBias(b, g, vel []float64, mom, scale float64) {
 	for i := range b {
 		v := mom*vel[i] - scale*g[i]
