@@ -6,12 +6,12 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test race bench bench-smoke bench-dp bench-verify chaos chaos-cluster
+.PHONY: check fmt vet lint build test race bench bench-smoke bench-dp bench-verify chaos chaos-cluster fuzz
 
 # The DP solver bench runs here too, so its parity and ε checks gate, but it
 # writes under the git-ignored .bench_build/: only a deliberate
 # `make bench-dp` rewrites the committed BENCH_dp.json.
-check: fmt vet lint build race bench-smoke bench-verify chaos chaos-cluster
+check: fmt vet lint build race bench-smoke bench-verify chaos chaos-cluster fuzz
 	mkdir -p .bench_build
 	$(GO) run ./cmd/evbench -out .bench_build/BENCH_dp.json dp
 
@@ -79,8 +79,16 @@ chaos:
 
 # Cluster robustness smoke (DESIGN.md §13): the membership primitives
 # (ring, failure detector, breaker) plus the multi-node partition/kill
-# chaos tests and the readiness/drain lifecycle, under the race detector.
+# chaos tests, single-versus-batch servedBy parity, the breaker's
+# no-verdict rule for self-cancelled fetches, heartbeat validation and the
+# readiness/drain lifecycle, under the race detector.
 chaos-cluster:
 	$(GO) test -race -count=1 ./internal/cluster
 	$(GO) test -race -count=1 -run 'Cluster|Ready|Retry' \
 		./internal/cloud ./cmd/cloudd
+
+# Fuzz the one decoder that takes a payload from a peer (decodeTables:
+# gob + dp.ImportRouteTables) for 10 s. Its seed corpus also runs in every
+# plain `go test`.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTables$$' -fuzztime 10s ./internal/cloud

@@ -11,9 +11,10 @@
 //
 // With -node-id and -peers the process joins a cloudd cluster
 // (DESIGN.md §13): segment-table ownership is sharded across the members
-// by consistent hashing, built tables replicate to ring successors, and
-// requests for routes another node owns are forwarded there. Readiness is
-// served on /v1/ready, distinct from the /v1/health liveness probe.
+// by consistent hashing, built tables replicate to ring successors, and a
+// member serves every request it receives, fetching the tables of routes
+// another node owns from that owner or a replica. Readiness is served on
+// /v1/ready, distinct from the /v1/health liveness probe.
 //
 // On SIGINT/SIGTERM the server drains gracefully: readiness flips to 503
 // first (so load balancers stop routing here), then in-flight

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -55,6 +56,17 @@ func TestBuildServerClusterValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Close()
+	// A heartbeat time.NewTicker cannot take must fail at startup (cloudd
+	// exits 1), not panic the heartbeat loop after boot.
+	for _, ms := range []float64{math.NaN(), math.Inf(1), -5, 1e-9} {
+		if srv, err := buildServer(serverParams{
+			rate: 153, segTables: true, heartbeatMS: ms,
+			nodeID: "n1", peers: map[string]string{"n2": "http://127.0.0.1:1"},
+		}); err == nil {
+			srv.Close()
+			t.Fatalf("-heartbeat-ms %g accepted", ms)
+		}
+	}
 }
 
 func TestParsePeers(t *testing.T) {

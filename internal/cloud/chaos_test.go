@@ -531,6 +531,9 @@ func TestChaosDeadlineHeaderCapped(t *testing.T) {
 		{"60000", 3 * time.Second},      // capped at MaxDeadlineSec
 		{"garbage", 2 * time.Second},    // unparsable → default
 		{"-5", 2 * time.Second},         // non-positive → default
+		{"1e300", 3 * time.Second},      // beyond a Duration's range → capped, not negative
+		{"+Inf", 3 * time.Second},       // likewise
+		{"NaN", 2 * time.Second},        // not a number → default
 	}
 	for _, tc := range cases {
 		if got := s.requestDeadline(mk(tc.header)); got != tc.want {

@@ -59,12 +59,6 @@ func WithRetryPolicy(p RetryPolicy) ClientOption {
 	return func(c *Client) { c.retry = p }
 }
 
-// WithHTTPClient replaces the underlying HTTP client (e.g. for tighter
-// timeouts or a custom transport).
-func WithHTTPClient(h *http.Client) ClientOption {
-	return func(c *Client) { c.http = h }
-}
-
 // WithDeadlineHint asks the server to spend at most d computing each
 // request (sent as the X-Deadline-Ms header; the server caps it at its
 // configured maximum). Degraded-but-fast answers come back instead of
@@ -127,9 +121,10 @@ func (e *APIError) Error() string {
 
 // retryableStatus reports whether a status code may be retried: 429 is
 // admission-control shedding, 503 a transient failure (both arrive with
-// Retry-After), and 502/504 surface from a forwarding hop whose upstream
-// peer is dying or partitioned — the next attempt may be routed around
-// it. Anything else (400s, 422, 500) would fail identically on retry.
+// Retry-After). cloudd itself never answers 502/504; they come only from
+// a proxy or load balancer in front of it whose upstream is dying or
+// partitioned, and the next attempt may be routed around it. Anything
+// else (400s, 422, 500) would fail identically on retry.
 func retryableStatus(code int) bool {
 	switch code {
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable,
@@ -165,12 +160,6 @@ func (c *Client) backoff(attempt int, retryAfter time.Duration) time.Duration {
 // do performs one HTTP exchange with retries and decodes a 200 into out.
 // body == nil issues a GET, otherwise a POST of the JSON body.
 func (c *Client) do(ctx context.Context, path string, body []byte, out any) error {
-	return c.doHeaders(ctx, path, body, nil, out)
-}
-
-// doHeaders is do with extra request headers, used by cluster forwarding
-// to carry the X-Forwarded-By loop-guard chain.
-func (c *Client) doHeaders(ctx context.Context, path string, body []byte, extra http.Header, out any) error {
 	var lastErr error
 	for attempt := 0; attempt < c.retry.MaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -200,9 +189,6 @@ func (c *Client) doHeaders(ctx context.Context, path string, body []byte, extra 
 		}
 		if c.deadlineHint > 0 {
 			req.Header.Set(DeadlineHeader, strconv.FormatInt(c.deadlineHint.Milliseconds(), 10))
-		}
-		for k, vs := range extra {
-			req.Header[k] = vs
 		}
 		resp, err := c.http.Do(req)
 		if err != nil {

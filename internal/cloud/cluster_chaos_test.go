@@ -9,12 +9,11 @@ package cloud
 // /v1/stats. All of these run under -race via `make chaos-cluster`.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -63,11 +62,12 @@ func (l *lazyClusterHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // startChaosCluster boots n members with fast failure-detector timings
-// (heartbeat 100 ms, suspect 500 ms, dead 1 s — quick enough for the
-// convergence polls below, loose enough that race-detector and parallel
-// test-package load cannot stall a probe into a false "dead" grading and a
-// spurious takeover), warms us25 on its owner, and blocks until every
-// member reports ready.
+// (heartbeat 1/6 s, so suspect after 500 ms and dead after 1 s — quick
+// enough for the convergence polls below, loose enough that race-detector
+// and parallel test-package load cannot stall a probe into a false "dead"
+// grading and a spurious takeover), blocks until every member reports
+// ready, and warms us25 with a table GET on each member: the owner builds
+// the tables (and replicates them) and answers 200, the others answer 404.
 func startChaosCluster(t *testing.T, n int) []*clusterTestNode {
 	t.Helper()
 	lazies := make([]*lazyClusterHandler, n)
@@ -93,12 +93,9 @@ func startChaosCluster(t *testing.T, n int) []*clusterTestNode {
 			SegmentTables: true,
 			Faults:        f.faults(),
 			Cluster: &ClusterConfig{
-				NodeID:          id(i),
-				Peers:           peers,
-				HeartbeatSec:    0.1,
-				SuspectAfterSec: 0.5,
-				DeadAfterSec:    1,
-				WarmRoutes:      []string{"us25"},
+				NodeID:       id(i),
+				Peers:        peers,
+				HeartbeatSec: 1.0 / 6,
 			},
 		})
 		if err != nil {
@@ -128,6 +125,24 @@ func startChaosCluster(t *testing.T, n int) []*clusterTestNode {
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
+	}
+	built := 0
+	for _, nd := range nodes {
+		resp, err := http.Get(nd.ts.URL + "/v1/tables/us25")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		switch resp.StatusCode {
+		case http.StatusOK:
+			built++
+		case http.StatusNotFound:
+		default:
+			t.Fatalf("warming us25 on %s: HTTP %d, want 200 from the owner or 404", nd.id, resp.StatusCode)
+		}
+	}
+	if built != 1 {
+		t.Fatalf("%d members served us25 tables at boot, want exactly the owner", built)
 	}
 	return nodes
 }
@@ -195,9 +210,11 @@ func assertParity(t *testing.T, ref *Client, got *Response, req Request) {
 }
 
 // TestClusterEveryMemberServesWithParity: healthy cluster, requests at all
-// three members, every answer exact and stamped with the serving node;
-// exactly one member paid the DP build and the others got the tables over
-// the wire (replica push or fetch) or by forwarding.
+// three members, every answer exact and stamped with the member that was
+// dialed — single requests and batch items follow one rule, so the same
+// key sent again as a one-item batch names the same node and carries the
+// same plan; exactly one member paid the DP build and the others got the
+// tables over the wire (replica push or fetch).
 func TestClusterEveryMemberServesWithParity(t *testing.T) {
 	nodes := startChaosCluster(t, 3)
 	ref := parityRef(t)
@@ -210,10 +227,25 @@ func TestClusterEveryMemberServesWithParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("node %s: %v", nd.id, err)
 		}
-		if resp.ServedBy == "" {
-			t.Fatalf("node %s response not stamped with the serving node", nd.id)
+		if resp.ServedBy != nd.id {
+			t.Fatalf("request dialed to %s was served by %q", nd.id, resp.ServedBy)
 		}
 		assertParity(t, ref, resp, req)
+		batch, err := nd.c.OptimizeBatch(ctx, BatchRequest{Requests: []Request{req}})
+		if err != nil {
+			t.Fatalf("node %s batch: %v", nd.id, err)
+		}
+		item := batch.Results[0].Response
+		if item == nil {
+			t.Fatalf("node %s batch item failed: %s", nd.id, batch.Results[0].Error)
+		}
+		if item.ServedBy != nd.id {
+			t.Fatalf("batch item dialed to %s was served by %q", nd.id, item.ServedBy)
+		}
+		if item.ChargeAh != resp.ChargeAh || item.TripSec != resp.TripSec || item.Penalized != resp.Penalized ||
+			!reflect.DeepEqual(item.Profile, resp.Profile) || !reflect.DeepEqual(item.Arrivals, resp.Arrivals) {
+			t.Fatalf("node %s: batch item plan differs from the single request's plan for the same key", nd.id)
+		}
 	}
 	var shared int64
 	for i, nd := range nodes {
@@ -224,22 +256,23 @@ func TestClusterEveryMemberServesWithParity(t *testing.T) {
 		if i != ownerIdx && st.DPSegmentSolves > 0 {
 			t.Fatalf("non-owner %s ran %d segment solves in a healthy cluster", nd.id, st.DPSegmentSolves)
 		}
-		shared += st.Cluster.TableFetches + st.Cluster.ReplicasReceived + st.Cluster.Forwards
+		shared += st.Cluster.TableFetches + st.Cluster.ReplicasReceived
 	}
 	if shared == 0 {
-		t.Fatal("no table fetches, replicas or forwards: members are not sharing the owner's build")
+		t.Fatal("no table fetches or replicas: members are not sharing the owner's build")
 	}
 }
 
-// TestClusterChaosNodeKillMidLoad: the owner dies mid-load. Requests that
-// land on the survivors — including in the stale-ring window before the
-// failure detector notices — must all return the exact plan, the failover
-// must show up in the survivors' counters, and both survivors must
-// eventually grade the dead member dead.
+// TestClusterChaosNodeKillMidLoad: the owner dies mid-load, before the
+// cold member has needed its tables. Requests that land on the survivors —
+// including in the stale-ring window before the failure detector notices —
+// must all return the exact plan, the failover must show up in the
+// survivors' counters, and both survivors must eventually grade the dead
+// member dead.
 func TestClusterChaosNodeKillMidLoad(t *testing.T) {
 	nodes := startChaosCluster(t, 3)
 	ref := parityRef(t)
-	ownerIdx, _, _ := clusterRoles(t, nodes)
+	ownerIdx, replicaIdx, _ := clusterRoles(t, nodes)
 	ctx := context.Background()
 	depart := 0.0
 	next := func() Request {
@@ -247,8 +280,10 @@ func TestClusterChaosNodeKillMidLoad(t *testing.T) {
 		return Request{Route: "us25", DepartTime: depart}
 	}
 
-	// Healthy warm-up traffic through every member.
-	for _, nd := range nodes {
+	// Healthy traffic through the two members that hold tables. The cold
+	// member stays cold, so its first request after the kill must acquire
+	// tables while the owner it still believes alive is gone.
+	for _, nd := range []*clusterTestNode{nodes[ownerIdx], nodes[replicaIdx]} {
 		req := next()
 		resp, err := nd.c.Optimize(ctx, req)
 		if err != nil {
@@ -269,8 +304,8 @@ func TestClusterChaosNodeKillMidLoad(t *testing.T) {
 	}
 
 	// Stale-ring window: the survivors still believe the owner is alive.
-	// Their forwards and fetches to it fail; every request must still
-	// come back exact via replica, local rebuild or local serve.
+	// Their fetches from it fail; every request must still come back exact
+	// via the replica, a local rebuild or warm local tables.
 	for round := 0; round < 3; round++ {
 		for _, nd := range survivors {
 			req := next()
@@ -319,7 +354,7 @@ func TestClusterChaosNodeKillMidLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 		cl := st.Cluster
-		failoverSignals += cl.ForwardFails + cl.TableFetchFails + cl.PeerFallbacks +
+		failoverSignals += cl.TableFetchFails + cl.PeerFallbacks +
 			cl.Takeovers + cl.BreakerFastFails + cl.BreakerOpens
 	}
 	if failoverSignals == 0 {
@@ -354,8 +389,8 @@ func TestClusterChaosAsymmetricPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := st.Cluster.ForwardFails + st.Cluster.BreakerFastFails; n == 0 {
-		t.Fatalf("partition left no trace in the cold member's forward counters: %+v", st.Cluster)
+	if n := st.Cluster.TableFetchFails + st.Cluster.BreakerFastFails; n == 0 {
+		t.Fatalf("partition left no trace in the cold member's fetch counters: %+v", st.Cluster)
 	}
 	if n := st.Cluster.TableFetches + st.Cluster.PeerFallbacks; n == 0 {
 		t.Fatalf("cold member served without fetching from a replica or rebuilding: %+v", st.Cluster)
@@ -396,8 +431,8 @@ func TestClusterChaosAsymmetricPartition(t *testing.T) {
 
 // TestClusterBreakerShortCircuitsPeer: with the cold member's breaker for
 // the owner already open, a request must not wait on doomed exchanges —
-// the breaker fast-fails the forward and the owner-fetch, and the replica
-// holder supplies the tables. White-box: the breaker is tripped directly.
+// the breaker fast-fails the owner fetch, and the replica holder supplies
+// the tables. White-box: the breaker is tripped directly.
 func TestClusterBreakerShortCircuitsPeer(t *testing.T) {
 	nodes := startChaosCluster(t, 3)
 	ref := parityRef(t)
@@ -424,68 +459,6 @@ func TestClusterBreakerShortCircuitsPeer(t *testing.T) {
 	}
 	if st.Cluster.BreakerOpens == 0 {
 		t.Fatalf("breaker open not reported in stats: %+v", st.Cluster)
-	}
-}
-
-// TestClusterForwardLoopGuard: a request whose X-Forwarded-By chain
-// already contains the receiving node must be served locally — a stale
-// ownership view elsewhere must never make a request orbit the ring.
-func TestClusterForwardLoopGuard(t *testing.T) {
-	nodes := startChaosCluster(t, 3)
-	ref := parityRef(t)
-	ownerIdx, _, coldIdx := clusterRoles(t, nodes)
-	cold := nodes[coldIdx]
-	ctx := context.Background()
-
-	post := func(chain string, depart float64) *Response {
-		t.Helper()
-		body, err := json.Marshal(Request{Route: "us25", DepartTime: depart})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, cold.ts.URL+"/v1/optimize", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		hreq.Header.Set(ForwardedByHeader, chain)
-		hresp, err := http.DefaultClient.Do(hreq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer hresp.Body.Close()
-		if hresp.StatusCode != http.StatusOK {
-			t.Fatalf("forwarded request with chain %q: HTTP %d", chain, hresp.StatusCode)
-		}
-		var out Response
-		if err := json.NewDecoder(hresp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		return &out
-	}
-
-	// Self already in the chain: the cold node is not the owner, but it
-	// must serve rather than forward again.
-	resp := post(cold.id, 70)
-	if resp.ServedBy != cold.id {
-		t.Fatalf("looped request served by %q, want local serve by %q", resp.ServedBy, cold.id)
-	}
-	assertParity(t, ref, resp, Request{Route: "us25", DepartTime: 70})
-
-	// Chain as long as the membership: every member has touched it.
-	chain := nodes[ownerIdx].id + ",ghost-a,ghost-b"
-	resp = post(chain, 90)
-	if resp.ServedBy != cold.id {
-		t.Fatalf("exhausted chain served by %q, want local serve by %q", resp.ServedBy, cold.id)
-	}
-	assertParity(t, ref, resp, Request{Route: "us25", DepartTime: 90})
-
-	st, err := cold.c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Cluster.ForwardedIn < 2 {
-		t.Fatalf("forwardedIn = %d, want both chained requests counted", st.Cluster.ForwardedIn)
 	}
 }
 

@@ -30,7 +30,7 @@ type Faults struct {
 
 	// PeerDelay, when non-nil, returns an artificial delay inserted before
 	// each cluster exchange from this node to peer `to` (heartbeats, table
-	// fetches, replication pushes and forwards alike). The sleep is
+	// fetches and replication pushes alike). The sleep is
 	// context-aware. Use it to simulate a slow or congested link — e.g. to
 	// force hedged fetches.
 	PeerDelay func(to string) time.Duration

@@ -55,18 +55,22 @@ func (s *Server) withDeadline(next http.Handler) http.Handler {
 	})
 }
 
-// requestDeadline resolves the compute deadline for one request.
+// requestDeadline resolves the compute deadline for one request. The
+// header is compared with the cap as a float, before any conversion: a
+// Duration holds only ~9.2e12 ms, and a larger value (or +Inf) would
+// convert to a negative, already-expired deadline instead of the cap.
 func (s *Server) requestDeadline(r *http.Request) time.Duration {
 	d := secToDur(s.cfg.DefaultDeadlineSec)
+	max := secToDur(s.cfg.MaxDeadlineSec)
 	if h := r.Header.Get(DeadlineHeader); h != "" {
 		if ms, err := strconv.ParseFloat(h, 64); err == nil && ms > 0 {
-			d = time.Duration(ms * float64(time.Millisecond))
+			d = max
+			if ns := ms * float64(time.Millisecond); ns < float64(max) {
+				d = time.Duration(ns)
+			}
 		}
 	}
-	if max := secToDur(s.cfg.MaxDeadlineSec); d > max {
-		d = max
-	}
-	return d
+	return min(d, max)
 }
 
 // admit wraps a compute endpoint with admission control. MaxInFlight

@@ -1,33 +1,30 @@
 // Cluster serving: consistent-hash sharding of segment-table ownership
 // across a fleet of cloudd peers, with replication, failure detection,
-// hedged fetches, per-peer circuit breakers and request forwarding
-// (DESIGN.md §13). The membership/health primitives live in
-// internal/cluster; this file supplies the HTTP plumbing and wires them
-// into the serving stack:
+// hedged fetches and per-peer circuit breakers (DESIGN.md §13). The
+// membership/health primitives live in internal/cluster; this file
+// supplies the HTTP plumbing and wires them into the serving stack.
 //
-//   - routeTables consults acquireTables: the route key's acting owner
-//     builds the tables (and replicates them to its ring successors);
-//     everyone else fetches the built tables from the owner or a replica,
-//     hedging a second fetch after a latency-percentile budget.
-//   - handleOptimize forwards requests for routes this node neither owns
-//     nor has warm to the acting owner, guarded against forwarding loops
-//     by the X-Forwarded-By chain.
-//   - Degradation order when the owner is unreachable: replica fetch →
-//     local table rebuild → (below, in solve) monolithic DP. Every rung
-//     yields the exact answer — peer failures cost latency and duplicated
-//     work, never plan quality — so none of them set Response.Degraded.
+// Tables are the one thing nodes share. Whichever node a request reaches
+// serves it, single or batch item alike: routeTables consults
+// acquireTables, where the route key's acting owner builds the tables (and
+// replicates them to its ring successors) and everyone else fetches the
+// built tables from the owner or a replica, hedging a second fetch after a
+// latency-percentile budget. Degradation order when the owner is
+// unreachable: replica fetch → local table rebuild → (below, in solve)
+// monolithic DP. Every rung yields the exact answer — peer failures cost
+// latency and duplicated work, never plan quality — so none of them set
+// Response.Degraded.
 package cloud
 
 import (
 	"bytes"
 	"context"
 	"encoding/gob"
-	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
-	"strings"
 	"sync"
 	"time"
 
@@ -37,12 +34,6 @@ import (
 	"evvo/internal/stable"
 	"evvo/internal/units"
 )
-
-// ForwardedByHeader carries the comma-separated chain of node IDs a
-// forwarded request has passed through. A node that finds itself in the
-// chain — or a chain as long as the membership — serves locally instead of
-// forwarding again, so stale ownership views can never orbit a request.
-const ForwardedByHeader = "X-Forwarded-By"
 
 // ClusterConfig joins this server to a fixed-membership cloudd cluster.
 // Membership is boot-time configuration (the -peers flag): node liveness
@@ -57,36 +48,32 @@ type ClusterConfig struct {
 	// Replicas is the total copy count per route key, owner included
 	// (default 2, capped at the membership size).
 	Replicas int
-	// VirtualNodes per member on the hash ring (default
-	// cluster.DefaultVirtualNodes).
-	VirtualNodes int
 	// HeartbeatSec is the probe interval (default 0.5). Each sweep probes
-	// every peer's /v1/health with a per-probe timeout of one interval.
+	// every peer's /v1/health with a per-probe timeout of one interval. A
+	// peer silent for suspectBeats intervals is suspect and keeps its
+	// ownership — reassigning on first silence would flap — and one silent
+	// for deadBeats intervals is dead: its keys move to its ring successors.
 	HeartbeatSec float64
-	// SuspectAfterSec and DeadAfterSec grade peer silence (defaults 3× and
-	// 6× HeartbeatSec). A suspect peer keeps its ownership — reassigning on
-	// first silence would flap — but a dead peer's keys move to its ring
-	// successors.
-	SuspectAfterSec float64
-	DeadAfterSec    float64
-	// HedgeQuantile picks the observed fetch-latency percentile after
-	// which a table fetch is hedged to the next replica (default 0.95);
-	// HedgeMinSec floors that budget while the histogram is still cold
-	// (default 0.05).
-	HedgeQuantile float64
-	HedgeMinSec   float64
-	// BreakerFails and BreakerCooldownSec parameterize the per-peer
-	// circuit breaker (defaults 3 consecutive failures, 2 s cooldown).
-	BreakerFails       int
-	BreakerCooldownSec float64
-	// MaxTableBytes bounds a received table payload (default 32 MiB).
-	MaxTableBytes int64
-	// WarmRoutes lists route names whose tables this node builds at boot
-	// when it owns them, before /v1/ready reports ready. Routes owned by
-	// other nodes warm lazily on first use. Default: none (ready as soon
-	// as the first heartbeat sweep completes).
-	WarmRoutes []string
 }
+
+// Fixed cluster tuning (DESIGN.md §13): no deployment needs other values,
+// so none of them is an option.
+const (
+	// suspectBeats and deadBeats grade peer silence in heartbeat intervals.
+	suspectBeats = 3
+	deadBeats    = 6
+	// A table fetch is hedged to the next replica once it outlives the
+	// hedgeQuantile of observed fetch latencies, floored at hedgeMinSec
+	// while the histogram is still cold.
+	hedgeQuantile = 0.95
+	hedgeMinSec   = 0.05
+	// A peer's circuit breaker opens after breakerFails consecutive failed
+	// exchanges and admits one probe after breakerCooldownSec.
+	breakerFails       = 3
+	breakerCooldownSec = 2.0
+	// maxTableBytes bounds a table payload received from a peer.
+	maxTableBytes = 32 << 20
+)
 
 // normalize fills defaults and validates. It mutates the receiver so the
 // effective values are visible to the caller (and to tests).
@@ -112,63 +99,24 @@ func (c *ClusterConfig) normalize() error {
 	if c.Replicas > members {
 		c.Replicas = members
 	}
-	if c.VirtualNodes == 0 {
-		c.VirtualNodes = cluster.DefaultVirtualNodes
-	}
 	if c.HeartbeatSec == 0 {
 		c.HeartbeatSec = 0.5
 	}
-	if c.HeartbeatSec < 0 {
-		return fmt.Errorf("cloud: cluster heartbeat %.3f s must be positive", c.HeartbeatSec)
-	}
-	if c.SuspectAfterSec == 0 {
-		c.SuspectAfterSec = 3 * c.HeartbeatSec
-	}
-	if c.DeadAfterSec == 0 {
-		c.DeadAfterSec = 2 * c.SuspectAfterSec
-	}
-	if c.SuspectAfterSec <= 0 || c.DeadAfterSec <= c.SuspectAfterSec {
-		return fmt.Errorf("cloud: cluster detector timeouts must satisfy 0 < suspect (%.3f s) < dead (%.3f s)",
-			c.SuspectAfterSec, c.DeadAfterSec)
-	}
-	if c.HedgeQuantile == 0 {
-		c.HedgeQuantile = 0.95
-	}
-	if c.HedgeQuantile < 0 || c.HedgeQuantile >= 1 {
-		return fmt.Errorf("cloud: hedge quantile %.2f must be in (0, 1)", c.HedgeQuantile)
-	}
-	if c.HedgeMinSec == 0 {
-		c.HedgeMinSec = 0.05
-	}
-	if c.HedgeMinSec < 0 {
-		return fmt.Errorf("cloud: hedge floor %.3f s must be non-negative", c.HedgeMinSec)
-	}
-	if c.BreakerFails == 0 {
-		c.BreakerFails = 3
-	}
-	if c.BreakerCooldownSec == 0 {
-		c.BreakerCooldownSec = 2
-	}
-	if c.BreakerFails < 0 || c.BreakerCooldownSec < 0 {
-		return fmt.Errorf("cloud: breaker threshold %d and cooldown %.2f s must be positive",
-			c.BreakerFails, c.BreakerCooldownSec)
-	}
-	if c.MaxTableBytes == 0 {
-		c.MaxTableBytes = 32 << 20
-	}
-	if c.MaxTableBytes < 0 {
-		return fmt.Errorf("cloud: max table bytes %d must be positive", c.MaxTableBytes)
+	// The interval feeds time.NewTicker, which panics on a non-positive
+	// period: reject NaN/±Inf and anything that rounds to ≤ 0 ns, and
+	// anything whose dead-after grade overflows a Duration.
+	if h := c.HeartbeatSec; math.IsNaN(h) || math.IsInf(h, 0) || secToDur(h) <= 0 || secToDur(deadBeats*h) <= 0 {
+		return fmt.Errorf("cloud: cluster heartbeat %g s must be a positive duration", c.HeartbeatSec)
 	}
 	return nil
 }
 
-// peerLink is this node's view of one peer: its retrying JSON client (for
-// forwards), its raw HTTP client (heartbeats and gob table exchanges,
-// sharing the fault-injected transport) and its circuit breaker.
+// peerLink is this node's view of one peer: its HTTP client (heartbeats
+// and gob table exchanges, over the fault-injected transport) and its
+// circuit breaker.
 type peerLink struct {
 	id      string
 	baseURL string
-	client  *Client
 	http    *http.Client
 	breaker *cluster.Breaker
 }
@@ -188,17 +136,15 @@ type peerGroup struct {
 	// table fetches.
 	fetchLat *metrics.Histogram
 
-	// ctx is the cluster lifetime (heartbeats, replication pushes, warm
-	// builds), cancelled by Server.Close.
+	// ctx is the cluster lifetime (heartbeats, replication pushes),
+	// cancelled by Server.Close.
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	primedOnce sync.Once
-	primed     chan struct{} // closed after the first heartbeat sweep
-	ready      chan struct{} // closed once primed + WarmRoutes built
+	readyOnce sync.Once
+	ready     chan struct{} // closed after the first heartbeat sweep
 
-	forwards, forwardFails, forwardedIn      metrics.Counter
 	takeovers, tableFetches, tableFetchFails metrics.Counter
 	hedgedFetches, replPushed, replRecv      metrics.Counter
 	peerFallbacks, breakerFastFails          metrics.Counter
@@ -233,11 +179,12 @@ func newPeerGroup(cfg ClusterConfig, faults *Faults) (*peerGroup, error) {
 	members := make([]string, 0, len(cfg.Peers)+1)
 	members = append(members, cfg.NodeID)
 	members = append(members, peerIDs...)
-	ring, err := cluster.Build(members, cfg.VirtualNodes)
+	ring, err := cluster.Build(members, 0)
 	if err != nil {
 		return nil, err
 	}
-	det, err := cluster.NewDetector(peerIDs, secToDur(cfg.SuspectAfterSec), secToDur(cfg.DeadAfterSec), time.Now())
+	det, err := cluster.NewDetector(peerIDs,
+		secToDur(suspectBeats*cfg.HeartbeatSec), secToDur(deadBeats*cfg.HeartbeatSec), time.Now())
 	if err != nil {
 		return nil, err
 	}
@@ -249,27 +196,19 @@ func newPeerGroup(cfg ClusterConfig, faults *Faults) (*peerGroup, error) {
 		peers:    make(map[string]*peerLink, len(cfg.Peers)),
 		order:    peerIDs,
 		fetchLat: metrics.NewLatencyHistogram(),
-		primed:   make(chan struct{}),
 		ready:    make(chan struct{}),
 	}
-	pg.ctx, pg.cancel = context.WithCancel(context.Background())
 	for _, id := range peerIDs {
-		hc := &http.Client{Transport: &peerTransport{to: id, faults: faults, next: http.DefaultTransport}}
-		// Two attempts only: the cluster layer has its own failover (hedge,
-		// replica walk, local rebuild), so long client-side retry loops
-		// would just delay it.
-		cl, err := NewClient(cfg.Peers[id], WithHTTPClient(hc), WithRetryPolicy(RetryPolicy{MaxAttempts: 2}))
+		br, err := cluster.NewBreaker(breakerFails, secToDur(breakerCooldownSec))
 		if err != nil {
-			pg.cancel()
-			return nil, fmt.Errorf("cloud: peer %s: %w", id, err)
-		}
-		br, err := cluster.NewBreaker(cfg.BreakerFails, secToDur(cfg.BreakerCooldownSec))
-		if err != nil {
-			pg.cancel()
 			return nil, err
 		}
-		pg.peers[id] = &peerLink{id: id, baseURL: cfg.Peers[id], client: cl, http: hc, breaker: br}
+		pg.peers[id] = &peerLink{
+			id: id, baseURL: cfg.Peers[id], breaker: br,
+			http: &http.Client{Transport: &peerTransport{to: id, faults: faults, next: http.DefaultTransport}},
+		}
 	}
+	pg.ctx, pg.cancel = context.WithCancel(context.Background())
 	return pg, nil
 }
 
@@ -280,7 +219,7 @@ func (pg *peerGroup) close() {
 }
 
 // heartbeatLoop probes every peer each interval and feeds the detector.
-// The first completed sweep closes primed: the node has joined the ring
+// The first completed sweep closes ready: the node has joined the ring
 // with an informed (if young) view of peer health.
 func (pg *peerGroup) heartbeatLoop() {
 	defer pg.wg.Done()
@@ -288,7 +227,7 @@ func (pg *peerGroup) heartbeatLoop() {
 	defer t.Stop()
 	for {
 		pg.sweep()
-		pg.primedOnce.Do(func() { close(pg.primed) })
+		pg.readyOnce.Do(func() { close(pg.ready) })
 		select {
 		case <-pg.ctx.Done():
 			return
@@ -363,8 +302,8 @@ func (pg *peerGroup) fetchCandidates(key, owner string, now time.Time) []*peerLi
 }
 
 // fetchTables retrieves key's tables from the acting owner, hedging to
-// the next candidate when the fetch outlives the HedgeQuantile of
-// previously observed fetch latencies (floored at HedgeMinSec) and failing
+// the next candidate when the fetch outlives the hedgeQuantile of
+// previously observed fetch latencies (floored at hedgeMinSec) and failing
 // over candidate by candidate. First success wins; the others are
 // cancelled. cfg is the local grid config the import validates against.
 func (pg *peerGroup) fetchTables(ctx context.Context, key string, cfg dp.Config, owner string) (*dp.RouteTables, error) {
@@ -372,8 +311,8 @@ func (pg *peerGroup) fetchTables(ctx context.Context, key string, cfg dp.Config,
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("cloud: no live replica to fetch tables for %q", key)
 	}
-	hedgeAfter := secToDur(pg.cfg.HedgeMinSec)
-	if q := secToDur(units.MsToSec(pg.fetchLat.Quantile(pg.cfg.HedgeQuantile))); q > hedgeAfter {
+	hedgeAfter := secToDur(hedgeMinSec)
+	if q := secToDur(units.MsToSec(pg.fetchLat.Quantile(hedgeQuantile))); q > hedgeAfter {
 		hedgeAfter = q
 	}
 
@@ -420,7 +359,6 @@ func (pg *peerGroup) fetchTables(ctx context.Context, key string, cfg dp.Config,
 			if launched < len(cands) {
 				launch()
 			} else if outstanding == 0 {
-				pg.tableFetchFails.Inc()
 				return nil, lastErr
 			}
 		}
@@ -428,7 +366,10 @@ func (pg *peerGroup) fetchTables(ctx context.Context, key string, cfg dp.Config,
 }
 
 // fetchOne performs a single breaker-guarded GET /v1/tables/{key} against
-// one peer and imports the payload under the local config.
+// one peer and imports the payload under the local config. A failure
+// counts against the peer (its breaker and tableFetchFails) only when this
+// node did not cancel the fetch itself: a lost hedge or an expired request
+// deadline says nothing about the peer, so it records no verdict.
 func (pg *peerGroup) fetchOne(ctx context.Context, pl *peerLink, key string, cfg dp.Config) (*dp.RouteTables, error) {
 	if !pl.breaker.Allow(time.Now()) {
 		pg.breakerFastFails.Inc()
@@ -436,6 +377,11 @@ func (pg *peerGroup) fetchOne(ctx context.Context, pl *peerLink, key string, cfg
 	}
 	start := time.Now()
 	fail := func(err error) (*dp.RouteTables, error) {
+		if ctx.Err() != nil {
+			pl.breaker.Abandon()
+			return nil, err
+		}
+		pg.tableFetchFails.Inc()
 		pl.breaker.Failure(time.Now())
 		return nil, err
 	}
@@ -451,17 +397,25 @@ func (pg *peerGroup) fetchOne(ctx context.Context, pl *peerLink, key string, cfg
 	if resp.StatusCode != http.StatusOK {
 		return fail(fmt.Errorf("cloud: peer %s has no servable tables for %q (HTTP %d)", pl.id, key, resp.StatusCode))
 	}
-	var w dp.TablesWire
-	if err := gob.NewDecoder(io.LimitReader(resp.Body, pg.cfg.MaxTableBytes)).Decode(&w); err != nil {
-		return fail(fmt.Errorf("cloud: decoding tables %q from %s: %w", key, pl.id, err))
-	}
-	rt, err := dp.ImportRouteTables(cfg, &w)
+	rt, err := decodeTables(resp.Body, cfg)
 	if err != nil {
-		return fail(fmt.Errorf("cloud: peer %s: %w", pl.id, err))
+		return fail(fmt.Errorf("cloud: tables %q from %s: %w", key, pl.id, err))
 	}
 	pl.breaker.Success()
 	pg.fetchLat.Observe(units.SecToMs(time.Since(start).Seconds()))
 	return rt, nil
+}
+
+// decodeTables reads one gob-encoded dp.TablesWire of at most
+// maxTableBytes and imports it under the local config cfg. It is the only
+// decoder for a payload a node accepts from a peer: a fetched table set
+// and a replication push alike.
+func decodeTables(r io.Reader, cfg dp.Config) (*dp.RouteTables, error) {
+	var w dp.TablesWire
+	if err := gob.NewDecoder(io.LimitReader(r, maxTableBytes)).Decode(&w); err != nil {
+		return nil, fmt.Errorf("decoding table payload: %w", err)
+	}
+	return dp.ImportRouteTables(cfg, &w)
 }
 
 // replicatePushTimeoutSec bounds one best-effort replication push.
@@ -558,81 +512,8 @@ func (s *Server) buildTables(ctx context.Context, cfg dp.Config) (*dp.RouteTable
 	return rt, err
 }
 
-// forwardOptimize forwards req to its acting owner when this node neither
-// owns the route key nor has its tables warm. It returns nil when the
-// request should be served locally instead: this node is the owner, the
-// tables are already here, the loop guard fired, the breaker is open, or
-// the forward itself failed (local serving is the degradation path — a
-// forwarding failure must never outrank a computable answer).
-func (s *Server) forwardOptimize(ctx context.Context, req Request, chain string) *Response {
-	pg := s.peers
-	if pg == nil {
-		return nil
-	}
-	if chain != "" {
-		pg.forwardedIn.Inc()
-	}
-	s.mu.Lock()
-	_, warm := s.segTables[req.Route]
-	s.mu.Unlock()
-	if warm {
-		return nil
-	}
-	owner, _ := pg.actingOwner(req.Route, time.Now())
-	if owner == pg.self {
-		return nil
-	}
-	hops := splitChain(chain)
-	if len(hops) >= pg.ring.Len() {
-		return nil // every member has touched this request already
-	}
-	for _, h := range hops {
-		if h == pg.self {
-			return nil // loop: we have seen this request before
-		}
-	}
-	pl := pg.peers[owner]
-	if pl == nil {
-		return nil
-	}
-	if !pl.breaker.Allow(time.Now()) {
-		pg.breakerFastFails.Inc()
-		return nil
-	}
-	hdr := http.Header{}
-	hdr.Set(ForwardedByHeader, strings.Join(append(hops, pg.self), ","))
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil
-	}
-	var out Response
-	if err := pl.client.doHeaders(ctx, "/v1/optimize", body, hdr, &out); err != nil {
-		pl.breaker.Failure(time.Now())
-		pg.forwardFails.Inc()
-		return nil
-	}
-	pl.breaker.Success()
-	pg.forwards.Inc()
-	return &out
-}
-
-// splitChain parses an X-Forwarded-By header into node IDs.
-func splitChain(chain string) []string {
-	if chain == "" {
-		return nil
-	}
-	parts := strings.Split(chain, ",")
-	out := parts[:0]
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // clusterReady reports whether the cluster runtime has completed its
-// first heartbeat sweep and warm builds.
+// first heartbeat sweep.
 func (pg *peerGroup) clusterReady() bool {
 	select {
 	case <-pg.ready:
@@ -645,25 +526,24 @@ func (pg *peerGroup) clusterReady() bool {
 // ClusterStats reports the cluster runtime's counters in /v1/stats.
 type ClusterStats struct {
 	NodeID string `json:"nodeId"`
-	// Ready mirrors /v1/ready (ring joined + warm routes built, not
-	// draining).
+	// Ready mirrors /v1/ready (first heartbeat sweep done, not draining).
 	Ready bool `json:"ready"`
 	// Peer health as graded by the local failure detector right now.
 	PeersAlive   int `json:"peersAlive"`
 	PeersSuspect int `json:"peersSuspect"`
 	PeersDead    int `json:"peersDead"`
-	// Forwards counts requests this node forwarded to a route's owner;
-	// ForwardFails counts forwards that failed over to local serving;
-	// ForwardedIn counts requests that arrived already forwarded.
-	Forwards     int64 `json:"forwards"`
-	ForwardFails int64 `json:"forwardFails"`
-	ForwardedIn  int64 `json:"forwardedIn"`
+	// Forwards is always 0: nodes share tables, never requests. It stays
+	// because existing readers of /v1/stats still decode it.
+	Forwards int64 `json:"forwards"`
 	// Takeovers counts table builds this node performed as acting owner
 	// for keys whose ring primary it is not — i.e. ownership failovers.
 	Takeovers int64 `json:"takeovers"`
 	// TableFetches counts successful cross-node table fetches;
 	// HedgedFetches the extra attempts launched past the hedge budget;
-	// TableFetchFails exhausted candidate lists.
+	// TableFetchFails the fetch attempts that failed, one per peer that
+	// did not deliver (attempts this node cancelled itself — a lost hedge,
+	// an expired request deadline — are not counted, and a peer refused by
+	// an open breaker counts in BreakerFastFails instead).
 	TableFetches    int64 `json:"tableFetches"`
 	TableFetchFails int64 `json:"tableFetchFails"`
 	HedgedFetches   int64 `json:"hedgedFetches"`
@@ -696,9 +576,6 @@ func (s *Server) clusterStats() *ClusterStats {
 		PeersAlive:       alive,
 		PeersSuspect:     suspect,
 		PeersDead:        dead,
-		Forwards:         pg.forwards.Value(),
-		ForwardFails:     pg.forwardFails.Value(),
-		ForwardedIn:      pg.forwardedIn.Value(),
 		Takeovers:        pg.takeovers.Value(),
 		TableFetches:     pg.tableFetches.Value(),
 		TableFetchFails:  pg.tableFetchFails.Value(),

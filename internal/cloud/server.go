@@ -38,7 +38,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -136,9 +135,9 @@ type Response struct {
 	Degraded       bool   `json:"degraded,omitempty"`
 	DegradedReason string `json:"degradedReason,omitempty"`
 	// ServedBy names the cluster node that computed this response (empty
-	// on standalone servers). On a forwarded request it names the owner
-	// that answered, not the node the client dialed — which is how tests
-	// and operators observe forwarding and failover.
+	// on standalone servers). Nodes share tables, not requests, so it is
+	// always the node the client dialed, for single requests and batch
+	// items alike.
 	ServedBy string `json:"servedBy,omitempty"`
 }
 
@@ -255,10 +254,11 @@ type ServerConfig struct {
 
 	// Cluster, when non-nil, joins this server to a cloudd cluster:
 	// segment-table ownership is sharded across the members by consistent
-	// hashing, built tables are replicated to ring successors, requests for
-	// routes this node does not own are forwarded to the acting owner, and
-	// peer death triggers automatic ownership takeover (DESIGN.md §13).
-	// Requires SegmentTables — the tables are the unit of sharding.
+	// hashing, built tables are replicated to ring successors, a node that
+	// does not own a route fetches its tables from the owner or a replica
+	// and serves the request itself, and peer death triggers automatic
+	// ownership takeover (DESIGN.md §13). Requires SegmentTables — the
+	// tables are the unit of sharding.
 	Cluster *ClusterConfig
 
 	// Faults injects deterministic failures for chaos tests (see faults.go).
@@ -416,9 +416,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 }
 
 // startCluster brings up the cluster runtime when configured: ring,
-// detector, peer links, the heartbeat loop, and the boot warm-up that
-// gates /v1/ready. It runs from NewServer, before any request exists, so
-// the cluster lifetime is anchored to the server, not to a request.
+// detector, peer links and the heartbeat loop, whose first sweep gates
+// /v1/ready. It runs from NewServer, before any request exists, so the
+// cluster lifetime is anchored to the server, not to a request.
 func (s *Server) startCluster() error {
 	if s.cfg.Cluster == nil {
 		return nil
@@ -434,29 +434,8 @@ func (s *Server) startCluster() error {
 		return err
 	}
 	s.peers = pg
-	pg.wg.Add(2)
+	pg.wg.Add(1)
 	go pg.heartbeatLoop()
-	go func() {
-		defer pg.wg.Done()
-		defer close(pg.ready)
-		select {
-		case <-pg.primed:
-		case <-pg.ctx.Done():
-			return
-		}
-		for _, name := range pg.cfg.WarmRoutes {
-			route, ok := s.lookupRoute(name)
-			if !ok {
-				continue
-			}
-			if owner, _ := pg.actingOwner(name, time.Now()); owner != pg.self {
-				continue
-			}
-			wctx, cancel := context.WithTimeout(pg.ctx, secToDur(s.cfg.DefaultDeadlineSec))
-			_, _ = s.routeTables(wctx, name, s.tableCfg(route))
-			cancel()
-		}
-	}()
 	return nil
 }
 
@@ -604,8 +583,9 @@ func (s *Server) handleTablesGet(w http.ResponseWriter, r *http.Request) {
 // handleTablesPut serves PUT /v1/tables/{routeKey}: the replication
 // receive path. The payload is imported — fingerprint-verified against
 // this node's own route and grid config — and stored only if the route's
-// tables are not already warm; an import failure is the sender's problem,
-// never this node's, so it answers 422 and keeps serving.
+// tables are not already warm; a payload that does not decode or import
+// is the sender's problem, never this node's, so it answers 422 and keeps
+// serving.
 func (s *Server) handleTablesPut(w http.ResponseWriter, r *http.Request) {
 	pg := s.peers
 	if pg == nil || !s.cfg.SegmentTables {
@@ -618,12 +598,7 @@ func (s *Server) handleTablesPut(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, fmt.Sprintf("unknown route %q", name))
 		return
 	}
-	var wire dp.TablesWire
-	if err := gob.NewDecoder(io.LimitReader(r.Body, pg.cfg.MaxTableBytes)).Decode(&wire); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Sprintf("decoding replicated tables: %v", err))
-		return
-	}
-	rt, err := dp.ImportRouteTables(s.tableCfg(route), &wire)
+	rt, err := decodeTables(r.Body, s.tableCfg(route))
 	if err != nil {
 		s.fail(w, http.StatusUnprocessableEntity, err.Error())
 		return
@@ -731,14 +706,6 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	route, ok := s.lookupRoute(req.Route)
 	if !ok {
 		s.fail(w, http.StatusNotFound, fmt.Sprintf("unknown route %q", req.Route))
-		return
-	}
-
-	// Cluster mode: a route this node neither owns nor has warm tables for
-	// is forwarded to its acting owner; any forwarding trouble (loop guard,
-	// open breaker, owner unreachable) falls through to local serving.
-	if fwd := s.forwardOptimize(r.Context(), req, r.Header.Get(ForwardedByHeader)); fwd != nil {
-		s.writeJSON(w, http.StatusOK, fwd)
 		return
 	}
 

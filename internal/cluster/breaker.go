@@ -116,6 +116,16 @@ func (b *Breaker) Failure(now time.Time) {
 	}
 }
 
+// Abandon records that an admitted exchange ended without a verdict: the
+// caller cancelled it (a lost hedge, an expired request deadline), so it
+// says nothing about the peer. A half-open probe slot is released for the
+// next Allow; the state and the failure count are left as they were.
+func (b *Breaker) Abandon() {
+	b.mu.Lock()
+	b.probing = false
+	b.mu.Unlock()
+}
+
 // open transitions to open. Callers hold b.mu.
 func (b *Breaker) open(now time.Time) {
 	b.state = BreakerOpen

@@ -226,6 +226,42 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 }
 
+// TestBreakerAbandonReleasesProbe: a half-open probe that ends without a
+// verdict frees its slot, so the breaker cannot wedge half-open with no
+// probe in flight; an abandoned exchange in the closed state neither
+// counts as a failure nor clears the ones already counted.
+func TestBreakerAbandonReleasesProbe(t *testing.T) {
+	t0 := time.Unix(3000, 0)
+	b, err := NewBreaker(2, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Failure(t0)
+	b.Abandon()
+	b.Failure(t0)
+	if b.State(t0) != BreakerOpen {
+		t.Fatalf("state %v after two failures around an abandon, want open", b.State(t0))
+	}
+	probeAt := t0.Add(1100 * time.Millisecond)
+	if !b.Allow(probeAt) {
+		t.Fatal("half-open breaker refused the probe")
+	}
+	if b.Allow(probeAt) {
+		t.Fatal("half-open breaker admitted a second concurrent probe")
+	}
+	b.Abandon()
+	if b.State(probeAt) != BreakerHalfOpen {
+		t.Fatalf("state %v after an abandoned probe, want half-open", b.State(probeAt))
+	}
+	if !b.Allow(probeAt) {
+		t.Fatal("abandoned probe kept its slot: the breaker is wedged half-open")
+	}
+	b.Success()
+	if b.State(probeAt) != BreakerClosed || b.Opens() != 1 {
+		t.Fatalf("state %v opens %d after the second probe succeeded, want closed and 1", b.State(probeAt), b.Opens())
+	}
+}
+
 // TestStateStrings pins the stats-facing labels.
 func TestStateStrings(t *testing.T) {
 	if StateAlive.String() != "alive" || StateSuspect.String() != "suspect" || StateDead.String() != "dead" {
