@@ -157,8 +157,9 @@ func (c *Config) validate() error {
 		return fmt.Errorf("dp: stop dwell %.1f s must be non-negative", c.StopDwellSec)
 	case !(c.PenaltyAh >= 0) || math.IsInf(c.PenaltyAh, 1):
 		// Eq. (12) makes a red-light arrival cost more, never less, and the
-		// stitch's improvement pre-test (stitchFilter) is exact only for a
-		// non-negative penalty. The negated compare also rejects NaN.
+		// improvement pre-test (improveFilter) of the sweep and the stitch
+		// is exact only for a non-negative penalty. The negated compare
+		// also rejects NaN.
 		return fmt.Errorf("dp: window penalty %g Ah must be finite and non-negative", c.PenaltyAh)
 	case c.WindowMarginSec < 0 || c.WindowEndMarginSec < 0:
 		return fmt.Errorf("dp: window margins %.1f/%.1f s must be non-negative", c.WindowMarginSec, c.WindowEndMarginSec)

@@ -4,7 +4,8 @@
 // column j) row into two phases: a vectorizable *evaluation* over the
 // source row's time buckets — candidate cost, exact elapsed time, target
 // bucket and feasibility mask as parallel float64 lanes — and a scalar
-// *commit* that resolves the k2 scatter. relaxEval is the evaluation phase:
+// *commit* that resolves the k2 scatter; improveFilter, between the two,
+// drops the lanes that cannot improve their cell. relaxEval is the evaluation phase:
 // it dispatches to the AVX2 kernel (kernels_amd64.s) when the CPU supports
 // it and finishes any non-multiple-of-4 tail with the portable Go
 // reference. The assembly is a lane-for-lane transcription of relaxEvalGo —
@@ -103,46 +104,49 @@ func relaxEvalGo(cand, tot, k2f []float64, mask []uint8, cost, exact []float64,
 	}
 }
 
-// stitchFilter is the stitch's improvement pre-test (DESIGN.md §11–12). It
-// runs on one relaxEval row of an entry table's crossings, after the
-// trip-budget mask is set, and clears every masked-in lane whose
-// pre-penalty candidate cannot beat its destination cell:
+// improveFilter is the improvement pre-test of both scalar commits, the
+// sweep's gather (parallel.go) and the stitch (segment.go); DESIGN.md
+// §11–12. It runs on one relaxEval row, after the trip-budget mask is set,
+// and clears every masked-in lane whose pre-penalty candidate cannot beat
+// its destination cell:
 //
 //	f   = min(max(k2f[c], 0), kMaxF)   // clamped bucket, NaN -> 0
 //	idx = rowOff[c] + int(f)
 //	bit c survives iff cand[c] < cost[idx]
 //
-// It returns how many lanes were masked in before filtering (the stitch's
-// expansion count). rowOff[c] is crossing c's destination row offset
-// (exitJ-minJ)*(kMax+1); cost is the destination boundary's banded slab.
+// It returns how many lanes were masked in before filtering (the caller's
+// expansion count). rowOff[c] is lane c's destination row offset within
+// cost: a gather row has one destination column, so its offsets are all
+// zero and cost is that column; a stitch row spreads over an exit
+// boundary's banded slab, rowOff[c] = (exitJ-minJ)*(kMax+1).
 //
 // The AVX2 kernel gathers cost[idx] without a bounds check, so the index
 // range is pinned here: the clamp keeps f in [0, kMaxF], every rowOff lies
-// in [0, maxRowOff] (RouteTables.index derives them from band-checked
-// exits), and the assertion below bounds the largest index by len(cost).
-// The clamp never fires on stitch input — relaxEval already caps k2f at
-// kMaxF, and arrival times are non-negative — it only makes the gather's
-// address range a property of this function.
-func stitchFilter(mask []uint8, cand, k2f []float64, rowOff []int32, maxRowOff int, cost []float64,
+// in [0, maxRowOff] (zero for the gather; RouteTables.index derives the
+// stitch's from band-checked exits), and the assertion below bounds the
+// largest index by len(cost). The clamp never fires on DP input —
+// relaxEval already caps k2f at kMaxF, and arrival times are non-negative
+// — it only makes the gather's address range a property of this function.
+func improveFilter(mask []uint8, cand, k2f []float64, rowOff []int32, maxRowOff int, cost []float64,
 	kMaxF float64, useAsm bool) int {
 
 	if maxRowOff+int(kMaxF) >= len(cost) {
-		panic("dp: stitch filter row offsets reach past the destination slab")
+		panic("dp: improvement filter row offsets reach past the destination slab")
 	}
 	from, expanded := 0, 0
 	if useAsm {
 		if n4 := len(cand) &^ 3; n4 > 0 {
-			expanded = stitchFilterAsm(mask[:n4>>2], cand[:n4], k2f[:n4], rowOff[:n4], cost, kMaxF)
+			expanded = improveFilterAsm(mask[:n4>>2], cand[:n4], k2f[:n4], rowOff[:n4], cost, kMaxF)
 			from = n4
 		}
 	}
-	return expanded + stitchFilterGo(mask, cand, k2f, rowOff, cost, kMaxF, from)
+	return expanded + improveFilterGo(mask, cand, k2f, rowOff, cost, kMaxF, from)
 }
 
-// stitchFilterGo is the portable reference for stitchFilter over lanes
+// improveFilterGo is the portable reference for improveFilter over lanes
 // [from, len(cand)), from a multiple of 4. The clamp is written the way
 // VMAXPD/VMINPD evaluate it, so the asm and Go masks agree bit for bit.
-func stitchFilterGo(mask []uint8, cand, k2f []float64, rowOff []int32, cost []float64,
+func improveFilterGo(mask []uint8, cand, k2f []float64, rowOff []int32, cost []float64,
 	kMaxF float64, from int) int {
 
 	expanded := 0

@@ -18,15 +18,15 @@ func dpxgetbv() (eax, edx uint32)
 func relaxEvalAsm(cand, tot, k2f []float64, mask []uint8, cost, exact []float64,
 	zeta, tCost, step, maxTrip, invDt, kMaxF float64)
 
-// stitchFilterAsm is the AVX2 form of stitchFilterGo over a 4-lane-aligned
+// improveFilterAsm is the AVX2 form of improveFilterGo over a 4-lane-aligned
 // prefix: len(cand) must be a positive multiple of 4, k2f and rowOff sized
 // to match and mask holding len/4 bytes. It gathers cost[idx] with
-// VGATHERDPD and no bounds check; the stitchFilter wrapper asserts the
+// VGATHERDPD and no bounds check; the improveFilter wrapper asserts the
 // index range before calling it. The clamp is VMAXPD against 0 then
 // VMINPD against kMaxF, each with the lane value as first operand.
 //
 //go:noescape
-func stitchFilterAsm(mask []uint8, cand, k2f []float64, rowOff []int32, cost []float64, kMaxF float64) int
+func improveFilterAsm(mask []uint8, cand, k2f []float64, rowOff []int32, cost []float64, kMaxF float64) int
 
 // asmSupported records the CPU probe; useAsmKernels is the live switch
 // (SetAsmKernels can turn it off, or back on up to asmSupported).

@@ -95,7 +95,7 @@ relaxloop:
 	VZEROUPPER
 	RET
 
-// func stitchFilterAsm(mask []uint8, cand, k2f []float64, rowOff []int32, cost []float64, kMaxF float64) int
+// func improveFilterAsm(mask []uint8, cand, k2f []float64, rowOff []int32, cost []float64, kMaxF float64) int
 //
 // len(cand) is a positive multiple of 4. Per 4-lane block whose mask byte
 // is non-zero:
@@ -112,7 +112,7 @@ relaxloop:
 // Register map: BX=mask DI=cand SI=k2f DX=rowOff R8=cost CX=len R10=lane
 // index R11=count; Y13=0 Y14=kMaxF, Y0-Y4 scratch (Y2 is the gather mask,
 // which VGATHERDPD clears, so it is re-armed per block).
-TEXT ·stitchFilterAsm(SB), NOSPLIT, $0-136
+TEXT ·improveFilterAsm(SB), NOSPLIT, $0-136
 	MOVQ mask_base+0(FP), BX
 	MOVQ cand_base+24(FP), DI
 	MOVQ cand_len+32(FP), CX

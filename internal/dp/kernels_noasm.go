@@ -3,7 +3,7 @@
 package dp
 
 // Non-amd64 builds run the portable relaxEvalGo only; the dispatch flags
-// stay false so relaxEvalAsm and stitchFilterAsm are never reached.
+// stay false so relaxEvalAsm and improveFilterAsm are never reached.
 var asmSupported = false
 var useAsmKernels = false
 
@@ -12,6 +12,6 @@ func relaxEvalAsm(cand, tot, k2f []float64, mask []uint8, cost, exact []float64,
 	panic("dp: relaxEvalAsm called without amd64 support")
 }
 
-func stitchFilterAsm(mask []uint8, cand, k2f []float64, rowOff []int32, cost []float64, kMaxF float64) int {
-	panic("dp: stitchFilterAsm called without amd64 support")
+func improveFilterAsm(mask []uint8, cand, k2f []float64, rowOff []int32, cost []float64, kMaxF float64) int {
+	panic("dp: improveFilterAsm called without amd64 support")
 }

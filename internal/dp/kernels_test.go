@@ -74,12 +74,12 @@ func TestRelaxEvalAsmMatchesGo(t *testing.T) {
 	}
 }
 
-// filterRow builds a stitch filter input of n lanes over a destination slab
-// of `rows` velocity rows by kw buckets: random trip-budget mask bits,
-// crossings that share destination cells (few rows, a narrow bucket
-// range), inf-sentinel cells in the slab, and candidates that tie their
-// cell exactly. A few buckets sit outside [0, kMaxF], NaN included, to
-// exercise the clamp.
+// filterRow builds a stitch-shaped filter input of n lanes over a
+// destination slab of `rows` velocity rows by kw buckets: random
+// trip-budget mask bits, crossings that share destination cells (few rows,
+// a narrow bucket range), inf-sentinel cells in the slab, and candidates
+// that tie their cell exactly. A few buckets sit outside [0, kMaxF], NaN
+// included, to exercise the clamp.
 func filterRow(rng *rand.Rand, n, rows, kw int) (mask []uint8, cand, k2f []float64, rowOff []int32, maxRowOff int, cost []float64) {
 	cost = make([]float64, rows*kw)
 	for i := range cost {
@@ -109,24 +109,43 @@ func filterRow(rng *rand.Rand, n, rows, kw int) (mask []uint8, cand, k2f []float
 	return mask, cand, k2f, rowOff, maxRowOff, cost
 }
 
-// TestStitchFilterAsmMatchesGo pins the pre-test's parity contract: the
+// gatherRow builds a gather-shaped filter input: filterRow's lanes over a
+// single kw-long destination column, so every row offset is zero, with the
+// buckets replaced by ascending ones the way relaxEval's rounded arrival
+// times ascend: a random rate below one bucket per lane makes runs of
+// consecutive lanes round to the same cell, and the last lanes clamp at
+// kMaxF. Ties are redrawn against the new buckets.
+func gatherRow(rng *rand.Rand, n, kw int) (mask []uint8, cand, k2f []float64, rowOff []int32, cost []float64) {
+	mask, cand, k2f, rowOff, _, cost = filterRow(rng, n, 1, kw)
+	rate, start := 0.2+0.6*rng.Float64(), float64(rng.Intn(kw/2))
+	for c := range k2f {
+		k2f[c] = math.Min(math.Floor(start+rate*float64(c)+0.5), float64(kw-1))
+		if rng.Float64() < 0.15 {
+			cand[c] = cost[int(k2f[c])] // a tie never improves
+		}
+	}
+	return mask, cand, k2f, rowOff, cost
+}
+
+// TestImproveFilterAsmMatchesGo pins the pre-test's parity contract: the
 // AVX2 gather kernel and the portable reference leave bit-identical masks
 // and return the same pre-filter lane count for every length, including
-// ragged tails, lanes sharing a destination cell and inf-sentinel cells.
-// The Go reference is checked against the definition lane by lane.
-func TestStitchFilterAsmMatchesGo(t *testing.T) {
+// ragged tails, lanes sharing a destination cell and inf-sentinel cells,
+// for both callers' shapes: the stitch's crossings spread over a banded
+// slab, and the sweep's gather rows with all-zero offsets into one
+// kw-long column. The Go reference is checked against the definition lane
+// by lane.
+func TestImproveFilterAsmMatchesGo(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	const rows, kw = 5, 16
-	kMaxF := float64(kw - 1)
-	for n := 1; n <= 1000; n += 1 + n/16 {
-		mask, cand, k2f, rowOff, maxRowOff, cost := filterRow(rng, n, rows, kw)
+	check := func(shape string, n int, mask []uint8, cand, k2f []float64, rowOff []int32, maxRowOff int, cost []float64, kMaxF float64) {
+		t.Helper()
 		want := 0
 		for _, m := range mask {
 			want += bits.OnesCount8(m)
 		}
 		goMask := append([]uint8(nil), mask...)
-		if got := stitchFilter(goMask, cand, k2f, rowOff, maxRowOff, cost, kMaxF, false); got != want {
-			t.Fatalf("n=%d: go filter counted %d lanes, mask holds %d", n, got, want)
+		if got := improveFilter(goMask, cand, k2f, rowOff, maxRowOff, cost, kMaxF, false); got != want {
+			t.Fatalf("%s n=%d: go filter counted %d lanes, mask holds %d", shape, n, got, want)
 		}
 		for c := 0; c < n; c++ {
 			f := k2f[c]
@@ -137,34 +156,44 @@ func TestStitchFilterAsmMatchesGo(t *testing.T) {
 			in := mask[c>>2]>>(c&3)&1 == 1
 			keep := in && cand[c] < cost[int(rowOff[c])+int(f)]
 			if got := goMask[c>>2]>>(c&3)&1 == 1; got != keep {
-				t.Fatalf("n=%d lane %d: go filter kept %v, definition says %v", n, c, got, keep)
+				t.Fatalf("%s n=%d lane %d: go filter kept %v, definition says %v", shape, n, c, got, keep)
 			}
 		}
 		if !asmSupported {
-			continue
+			return
 		}
 		asmMask := append([]uint8(nil), mask...)
-		if got := stitchFilter(asmMask, cand, k2f, rowOff, maxRowOff, cost, kMaxF, true); got != want {
-			t.Fatalf("n=%d: asm filter counted %d lanes, mask holds %d", n, got, want)
+		if got := improveFilter(asmMask, cand, k2f, rowOff, maxRowOff, cost, kMaxF, true); got != want {
+			t.Fatalf("%s n=%d: asm filter counted %d lanes, mask holds %d", shape, n, got, want)
 		}
 		for b := range goMask {
 			if asmMask[b] != goMask[b] {
-				t.Fatalf("n=%d mask byte %d: asm %04b go %04b", n, b, asmMask[b], goMask[b])
+				t.Fatalf("%s n=%d mask byte %d: asm %04b go %04b", shape, n, b, asmMask[b], goMask[b])
 			}
 		}
 	}
+	const rows, kw = 5, 16
+	for n := 1; n <= 1000; n += 1 + n/16 {
+		mask, cand, k2f, rowOff, maxRowOff, cost := filterRow(rng, n, rows, kw)
+		check("stitch", n, mask, cand, k2f, rowOff, maxRowOff, cost, kw-1)
+	}
+	const gatherKw = 421 // the production grid's bucket count
+	for n := 1; n <= gatherKw; n += 1 + n/16 {
+		mask, cand, k2f, rowOff, cost := gatherRow(rng, n, gatherKw)
+		check("gather", n, mask, cand, k2f, rowOff, 0, cost, gatherKw-1)
+	}
 }
 
-// TestStitchFilterBoundsAsserted: a row offset that would gather past the
+// TestImproveFilterBoundsAsserted: a row offset that would gather past the
 // destination slab panics before any lane is read.
-func TestStitchFilterBoundsAsserted(t *testing.T) {
+func TestImproveFilterBoundsAsserted(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-slab row offset accepted")
 		}
 	}()
 	cost := make([]float64, 2*8)
-	stitchFilter([]uint8{0xf}, make([]float64, 4), make([]float64, 4), []int32{0, 0, 8, 9}, 9, cost, 7, asmSupported)
+	improveFilter([]uint8{0xf}, make([]float64, 4), make([]float64, 4), []int32{0, 0, 8, 9}, 9, cost, 7, asmSupported)
 }
 
 // kernelName labels a kernel dispatch setting in benchmark names.
@@ -175,10 +204,10 @@ func kernelName(asm bool) string {
 	return "go"
 }
 
-// BenchmarkRelaxEval and BenchmarkStitchFilter time the stitch's two lane
-// kernels on one production-sized row (1024 crossings, every lane in the
-// trip budget), so the lane work can be told apart from the scalar commit
-// that BenchmarkStitchUS25 includes.
+// BenchmarkRelaxEval and BenchmarkImproveFilter time the two lane kernels
+// on one production-sized stitch row (1024 crossings, every lane in the
+// trip budget), so the lane work can be told apart from the scalar commits
+// that BenchmarkStitchUS25 and BenchmarkOptimizeUS25 include.
 func BenchmarkRelaxEval(b *testing.B) {
 	const n = 1024
 	rng := rand.New(rand.NewSource(3))
@@ -196,7 +225,7 @@ func BenchmarkRelaxEval(b *testing.B) {
 	}
 }
 
-func BenchmarkStitchFilter(b *testing.B) {
+func BenchmarkImproveFilter(b *testing.B) {
 	const n, rows, kw = 1024, 11, 421
 	rng := rand.New(rand.NewSource(5))
 	_, cand, k2f, rowOff, maxRowOff, cost := filterRow(rng, n, rows, kw)
@@ -210,7 +239,7 @@ func BenchmarkStitchFilter(b *testing.B) {
 				for j := range mask {
 					mask[j] = 0xf
 				}
-				stitchFilter(mask, cand, k2f, rowOff, maxRowOff, cost, kw-1, asm)
+				improveFilter(mask, cand, k2f, rowOff, maxRowOff, cost, kw-1, asm)
 			}
 		})
 	}

@@ -18,8 +18,19 @@ import (
 // (kernels.go) evaluates the source row's time buckets as contiguous
 // float64 lanes — candidate cost, exact elapsed time, destination bucket,
 // packed feasibility mask — and a scalar commit pass resolves the k2
-// scatter. The evaluation runs on AVX2 when available; the commit walks the
-// mask bits in ascending k.
+// scatter. Between them improveFilter gathers each masked-in lane's
+// destination cell from column j2 and clears the lanes whose pre-penalty
+// candidate is not strictly below it, so the commit walks, in ascending k,
+// only the lanes that may improve their cell. Evaluation and filter run on
+// AVX2 when available.
+//
+// The pre-test is exact: within a stage the destination costs only fall,
+// and the window penalty the commit adds is finite and >= 0
+// (Config.validate), so a lane that cannot beat its cell's value before
+// the row cannot beat the live cell either. The commit still compares
+// against the live cell, because earlier lanes of the same row may have
+// lowered it. The filter returns the pre-filter lane count, so
+// StatesExpanded counts every masked-in lane as before.
 //
 // Determinism: for any destination cell (j2, k2) the candidate predecessors
 // (j, k) are visited in ascending (j, k) order — exactly the order the
@@ -59,10 +70,15 @@ type stageRelax struct {
 	useAsm bool // kernel dispatch, snapshotted in run before workers start
 }
 
-// relaxScratch is one worker's private lane buffers for relaxEval.
+// relaxScratch is one worker's private lane buffers for relaxEval and
+// improveFilter. rowOff is the gather's all-zero row offsets (its rows have
+// a single destination column); it is allocated only for a relaxPool's
+// workers, never written, and nil in the stitch's lanes, which carry their
+// own offsets per crossing.
 type relaxScratch struct {
 	cand, tot, k2f []float64
 	mask           []uint8
+	rowOff         []int32
 }
 
 // relaxPool carries the allocations that persist across a solve's stages:
@@ -85,6 +101,7 @@ func newRelaxPool(workers, jw, kw int) *relaxPool {
 	}
 	for i := range p.per {
 		p.per[i] = newRelaxScratch(kw)
+		p.per[i].rowOff = make([]int32, kw)
 	}
 	return p
 }
@@ -114,6 +131,7 @@ func (p *relaxPool) fit(workers, jw, kw int) *relaxPool {
 		sc := &p.per[i]
 		sc.cand, sc.tot, sc.k2f = sc.cand[:kw], sc.tot[:kw], sc.k2f[:kw]
 		sc.mask = sc.mask[:(kw+3)/4]
+		sc.rowOff = sc.rowOff[:kw]
 	}
 	return p
 }
@@ -215,23 +233,24 @@ func (s *stageRelax) gather(j2a, j2b int, sc *relaxScratch) int {
 				n := hi + 1 - a
 				srcCost := s.curCost[j*kw+a : j*kw+a+n]
 				srcExact := s.curExact[j*kw+a : j*kw+a+n]
-				relaxEval(sc.cand[:n], sc.tot[:n], sc.k2f[:n], sc.mask[:(n+3)>>2],
-					srcCost, srcExact, zeta, tCost, step, s.maxTrip, s.invDt, kMaxF, s.useAsm)
-				// Commit: ascending k via the packed mask; the window penalty
-				// needs the absolute arrival time, so it lands here rather
-				// than in the lanes. Arrival times ascend with k inside a row
-				// (each bucket stores the exact elapsed time that rounds to
-				// it), and the windows are sorted and disjoint, so a cursor
-				// replaces the per-lane window scan.
 				nb := (n + 3) >> 2
+				mask := sc.mask[:nb]
+				relaxEval(sc.cand[:n], sc.tot[:n], sc.k2f[:n], mask,
+					srcCost, srcExact, zeta, tCost, step, s.maxTrip, s.invDt, kMaxF, s.useAsm)
+				expanded += improveFilter(mask, sc.cand[:n], sc.k2f[:n], sc.rowOff[:n], 0, dstCost,
+					kMaxF, s.useAsm)
+				// Commit the surviving lanes: ascending k via the packed
+				// mask; the window penalty needs the absolute arrival time,
+				// so it lands here rather than in the lanes. Arrival times
+				// ascend with k inside a row (each bucket stores the exact
+				// elapsed time that rounds to it), and the windows are sorted
+				// and disjoint, so a cursor replaces the per-lane window scan.
 				wi := 0
 				tt, cd, kf := sc.tot[:n], sc.cand[:n], sc.k2f[:n]
-				for bi := 0; bi < nb; bi++ {
-					m := sc.mask[bi]
+				for bi, m := range mask {
 					if m == 0 {
 						continue
 					}
-					expanded += bits.OnesCount8(m)
 					base := bi << 2
 					for ; m != 0; m &= m - 1 {
 						i := base + bits.TrailingZeros8(m)

@@ -372,7 +372,7 @@ type stitchStep struct {
 }
 
 // commit is the scalar half of one (entry, k) source cell's relaxation:
-// relaxEval has evaluated the entry's n crossings as lanes and stitchFilter
+// relaxEval has evaluated the entry's n crossings as lanes and improveFilter
 // has cleared the lanes whose pre-penalty candidate cannot beat their
 // destination. commit walks the surviving mask bits in ascending crossing
 // order, adds the window penalty at the absolute arrival time and keeps
@@ -439,7 +439,7 @@ func (st *stitchStep) commit(et *entryTable, lanes *relaxScratch, n int, from in
 // each finite source cell (entry velocity, bucket k), relaxEval evaluates
 // the entry's crossings as lanes — candidate cost costAh+c0, arrival
 // durSec+elapsed, bucket floor(t·(1/Δt)+0.5), trip-budget mask —
-// stitchFilter drops the lanes that cannot improve their destination, and
+// improveFilter drops the lanes that cannot improve their destination, and
 // stitchStep.commit resolves the scatter for the rest. Both sums are the
 // scalar ones with commuted operands, so they are bit-identical to the
 // per-crossing loop they replace.
@@ -511,7 +511,7 @@ func (rt *RouteTables) StitchCtx(ctx context.Context, cfg Config) (*Result, erro
 				mask := lanes.mask[:(n+3)>>2]
 				relaxEval(lanes.cand[:n], lanes.tot[:n], lanes.k2f[:n], mask,
 					et.costAh, et.durSec, c0, 0, curExact[col+k], cfg.MaxTripSec, invDt, kMaxF, useAsm)
-				expanded += stitchFilter(mask, lanes.cand[:n], lanes.k2f[:n], et.rowOff, et.maxRowOff,
+				expanded += improveFilter(mask, lanes.cand[:n], lanes.k2f[:n], et.rowOff, et.maxRowOff,
 					step.cost, kMaxF, useAsm)
 				step.commit(et, lanes, n, int32(e)<<16|int32(k))
 			}
