@@ -394,6 +394,14 @@ func (pg *peerGroup) fetchOne(ctx context.Context, pl *peerLink, key string, cfg
 		return fail(fmt.Errorf("cloud: fetching tables %q from %s: %w", key, pl.id, err))
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotFound {
+		// The peer answered: it is reachable and simply holds no tables for
+		// key yet (replication has not reached it). The attempt still
+		// failed, but it is no verdict against the peer's health.
+		pg.tableFetchFails.Inc()
+		pl.breaker.Success()
+		return nil, fmt.Errorf("cloud: peer %s has no tables for %q yet (HTTP 404)", pl.id, key)
+	}
 	if resp.StatusCode != http.StatusOK {
 		return fail(fmt.Errorf("cloud: peer %s has no servable tables for %q (HTTP %d)", pl.id, key, resp.StatusCode))
 	}

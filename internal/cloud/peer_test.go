@@ -119,6 +119,38 @@ func TestClusterFetchCancelledByCallerRecordsNoVerdict(t *testing.T) {
 	}
 }
 
+// TestClusterFetch404KeepsBreakerClosed: a replica that answers 404 "does
+// not own tables" before replication reaches it is reachable, so its
+// answers must not open its breaker; each attempt still counts as a failed
+// fetch.
+func TestClusterFetch404KeepsBreakerClosed(t *testing.T) {
+	notYet := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "node replica does not own tables", http.StatusNotFound)
+	}))
+	defer notYet.Close()
+	cfg := ClusterConfig{NodeID: "self", Peers: map[string]string{"replica": notYet.URL}}
+	if err := cfg.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	pg, err := newPeerGroup(cfg, &Faults{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pg.close()
+	pl := pg.peers["replica"]
+	for i := 0; i < breakerFails; i++ {
+		if _, err := pg.fetchOne(context.Background(), pl, "us25", dp.Config{}); err == nil {
+			t.Fatal("fetch from a peer without tables succeeded")
+		}
+	}
+	if st := pl.breaker.State(time.Now()); st != cluster.BreakerClosed || pl.breaker.Opens() != 0 {
+		t.Fatalf("%d 404 answers left the breaker %v with %d opens, want closed and 0", breakerFails, st, pl.breaker.Opens())
+	}
+	if n := pg.tableFetchFails.Value(); n != breakerFails {
+		t.Fatalf("%d 404 answers counted as %d failed fetches", breakerFails, n)
+	}
+}
+
 // FuzzDecodeTables: decodeTables is the only decoder for a payload a node
 // accepts from a peer, so any byte string must yield either an error or
 // tables that stitch without panicking. Seeds: a coarse-grid export, the
