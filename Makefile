@@ -19,8 +19,11 @@ check: fmt vet lint build race bench-smoke bench-verify chaos chaos-cluster fuzz
 fmt:
 	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
+# The second pass type-checks the non-amd64 build (kernels_noasm.go's
+# stubs must track every asm kernel's name and signature).
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # Custom static-analysis suite (internal/lint via cmd/evlint), six
 # analyzers: context plumbing on the request path (ctxcheck), unit-suffix
