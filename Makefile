@@ -90,8 +90,11 @@ chaos-cluster:
 	$(GO) test -race -count=1 -run 'Cluster|Ready|Retry' \
 		./internal/cloud ./cmd/cloudd
 
-# Fuzz the one decoder that takes a payload from a peer (decodeTables:
-# gob + dp.ImportRouteTables) for 10 s. Its seed corpus also runs in every
+# Fuzz for 10 s each: the one decoder that takes a payload from a peer
+# (decodeTables: gob + dp.ImportRouteTables), and the improvement filter
+# kernel (improveFilter: AVX2 against the Go reference and the written
+# definition, penalty floor included). Their seed corpora also run in every
 # plain `go test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTables$$' -fuzztime 10s ./internal/cloud
+	$(GO) test -run '^$$' -fuzz '^FuzzImproveFilter$$' -fuzztime 10s ./internal/dp

@@ -322,11 +322,11 @@ func TestConcurrentFirstHitsMemoOnce(t *testing.T) {
 	}
 }
 
-// BenchmarkBatchHit serves a 32-item batch of already-cached keys through
-// Server.Handler on cloudd's production grid (zero DPTemplate, segment
-// tables on): the hot-cache shape, where the DP idles and decoding,
-// admission, fan-out and the response encoding are the whole cost.
-func BenchmarkBatchHit(b *testing.B) {
+// hitBatch boots a server on cloudd's production grid (zero DPTemplate,
+// segment tables on), fills its cache with a 32-item batch over four keys
+// and returns a function that serves that batch again through
+// Server.Handler, every item a hit: the hot-cache shape.
+func hitBatch(b *testing.B) func() *httptest.ResponseRecorder {
 	s, err := NewServer(ServerConfig{SegmentTables: true})
 	if err != nil {
 		b.Fatal(err)
@@ -348,11 +348,39 @@ func BenchmarkBatchHit(b *testing.B) {
 		}
 		return rec
 	}
-	serve() // fills the cache: every timed item is a hit
+	serve() // fills the cache: every later item is a hit
+	return serve
+}
+
+// BenchmarkBatchHit serves the 32-item hot-cache batch: the DP idles, and
+// decoding, admission, fan-out and the response encoding are the whole
+// server-side cost.
+func BenchmarkBatchHit(b *testing.B) {
+	serve := hitBatch(b)
 	b.SetBytes(int64(serve().Body.Len()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		serve()
+	}
+}
+
+// BenchmarkClientDecodeBatch decodes the hot-cache batch's response body
+// (32 hits, writeBatch's encoding) the way Client.do decodes a 200: one
+// json.Decoder over the body into a BatchResponse. It is the client-side
+// half of the hot-cache workload, which BenchmarkBatchHit does not see.
+func BenchmarkClientDecodeBatch(b *testing.B) {
+	body := hitBatch(b)().Body.Bytes()
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var out BatchResponse
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&out); err != nil {
+			b.Fatal(err)
+		}
+		if len(out.Results) != 32 {
+			b.Fatalf("decoded %d items, want 32", len(out.Results))
+		}
 	}
 }

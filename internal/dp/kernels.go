@@ -107,49 +107,60 @@ func relaxEvalGo(cand, tot, k2f []float64, mask []uint8, cost, exact []float64,
 // improveFilter is the improvement pre-test of both scalar commits, the
 // sweep's gather (parallel.go) and the stitch (segment.go); DESIGN.md
 // §11–12. It runs on one relaxEval row, after the trip-budget mask is set,
-// and clears every masked-in lane whose pre-penalty candidate cannot beat
-// its destination cell:
+// and clears every masked-in lane whose candidate, priced with its
+// bucket's penalty floor, cannot beat its destination cell:
 //
 //	f   = min(max(k2f[c], 0), kMaxF)   // clamped bucket, NaN -> 0
 //	idx = rowOff[c] + int(f)
-//	bit c survives iff cand[c] < cost[idx]
+//	bit c survives iff cand[c] + floor[int(f)] < cost[idx]
 //
-// It returns how many lanes were masked in before filtering (the caller's
-// expansion count). rowOff[c] is lane c's destination row offset within
-// cost: a gather row has one destination column, so its offsets are all
-// zero and cost is that column; a stitch row spreads over an exit
-// boundary's banded slab, rowOff[c] = (exitJ-minJ)*(kMax+1).
+// A nil floor adds nothing (the gather's rows). It returns how many lanes
+// were masked in before filtering (the caller's expansion count) and how
+// many survive (the caller skips its commit when none do). rowOff[c] is
+// lane c's destination row offset within cost: a gather row has one
+// destination column, so its offsets are all zero and cost is that
+// column; a stitch row spreads over an exit boundary's banded slab,
+// rowOff[c] = (exitJ-minJ)*(kMax+1).
 //
-// The AVX2 kernel gathers cost[idx] without a bounds check, so the index
-// range is pinned here: the clamp keeps f in [0, kMaxF], every rowOff lies
-// in [0, maxRowOff] (zero for the gather; RouteTables.index derives the
-// stitch's from band-checked exits), and the assertion below bounds the
-// largest index by len(cost). The clamp never fires on DP input —
-// relaxEval already caps k2f at kMaxF, and arrival times are non-negative
-// — it only makes the gather's address range a property of this function.
-func improveFilter(mask []uint8, cand, k2f []float64, rowOff []int32, maxRowOff int, cost []float64,
-	kMaxF float64, useAsm bool) int {
+// floor[k2] is a lower bound on the window penalty the commit adds to an
+// arrival in bucket k2 (penaltyFloor), so the add is the commit's own:
+// where the floor is PenaltyAh the commit adds the same PenaltyAh to the
+// same candidate, and where it is 0 the test is the pre-penalty one.
+//
+// The AVX2 kernel gathers cost[idx] and floor[f] without a bounds check,
+// so the index range is pinned here: the clamp keeps f in [0, kMaxF],
+// every rowOff lies in [0, maxRowOff] (zero for the gather;
+// RouteTables.index derives the stitch's from band-checked exits), and the
+// assertions below bound the largest index by len(cost) and len(floor).
+// The clamp never fires on DP input — relaxEval already caps k2f at kMaxF,
+// and arrival times are non-negative — it only makes the gather's address
+// range a property of this function.
+func improveFilter(mask []uint8, cand, k2f, floor []float64, rowOff []int32, maxRowOff int, cost []float64,
+	kMaxF float64, useAsm bool) (expanded, kept int) {
 
-	if maxRowOff+int(kMaxF) >= len(cost) {
+	if !(kMaxF >= 0) || float64(maxRowOff)+kMaxF >= float64(len(cost)) {
 		panic("dp: improvement filter row offsets reach past the destination slab")
 	}
-	from, expanded := 0, 0
+	if floor != nil && float64(len(floor)) <= kMaxF {
+		panic("dp: improvement filter penalty floor is shorter than the bucket range")
+	}
+	from := 0
 	if useAsm {
 		if n4 := len(cand) &^ 3; n4 > 0 {
-			expanded = improveFilterAsm(mask[:n4>>2], cand[:n4], k2f[:n4], rowOff[:n4], cost, kMaxF)
+			expanded, kept = improveFilterAsm(mask[:n4>>2], cand[:n4], k2f[:n4], floor, rowOff[:n4], cost, kMaxF)
 			from = n4
 		}
 	}
-	return expanded + improveFilterGo(mask, cand, k2f, rowOff, cost, kMaxF, from)
+	e, k := improveFilterGo(mask, cand, k2f, floor, rowOff, cost, kMaxF, from)
+	return expanded + e, kept + k
 }
 
 // improveFilterGo is the portable reference for improveFilter over lanes
 // [from, len(cand)), from a multiple of 4. The clamp is written the way
 // VMAXPD/VMINPD evaluate it, so the asm and Go masks agree bit for bit.
-func improveFilterGo(mask []uint8, cand, k2f []float64, rowOff []int32, cost []float64,
-	kMaxF float64, from int) int {
+func improveFilterGo(mask []uint8, cand, k2f, floor []float64, rowOff []int32, cost []float64,
+	kMaxF float64, from int) (expanded, kept int) {
 
-	expanded := 0
 	for bi := from >> 2; bi < (len(cand)+3)>>2; bi++ {
 		m := mask[bi]
 		expanded += bits.OnesCount8(m)
@@ -163,13 +174,27 @@ func improveFilterGo(mask []uint8, cand, k2f []float64, rowOff []int32, cost []f
 			if !(f < kMaxF) {
 				f = kMaxF
 			}
-			if !(cand[i] < cost[int(rowOff[i])+int(f)]) {
+			b, nc := int(f), cand[i]
+			if floor != nil {
+				nc += floor[b]
+			}
+			if !(nc < cost[int(rowOff[i])+b]) {
 				keep &^= 1 << (i & 3)
 			}
 		}
 		mask[bi] = keep
+		kept += bits.OnesCount8(keep)
 	}
-	return expanded
+	return expanded, kept
+}
+
+// maskCount returns how many lanes a relaxEval mask holds.
+func maskCount(mask []uint8) int {
+	n := 0
+	for _, m := range mask {
+		n += bits.OnesCount8(m)
+	}
+	return n
 }
 
 // SetAsmKernels forces the assembly kernels on or off and returns the

@@ -20,13 +20,14 @@ func relaxEvalAsm(cand, tot, k2f []float64, mask []uint8, cost, exact []float64,
 
 // improveFilterAsm is the AVX2 form of improveFilterGo over a 4-lane-aligned
 // prefix: len(cand) must be a positive multiple of 4, k2f and rowOff sized
-// to match and mask holding len/4 bytes. It gathers cost[idx] with
-// VGATHERDPD and no bounds check; the improveFilter wrapper asserts the
-// index range before calling it. The clamp is VMAXPD against 0 then
-// VMINPD against kMaxF, each with the lane value as first operand.
+// to match and mask holding len/4 bytes; floor is nil or longer than kMaxF.
+// It gathers cost[idx] and floor[f] with VGATHERDPD and no bounds check;
+// the improveFilter wrapper asserts the index range before calling it. The
+// clamp is VMAXPD against 0 then VMINPD against kMaxF, each with the lane
+// value as first operand, and the floor is added with one VADDPD.
 //
 //go:noescape
-func improveFilterAsm(mask []uint8, cand, k2f []float64, rowOff []int32, cost []float64, kMaxF float64) int
+func improveFilterAsm(mask []uint8, cand, k2f, floor []float64, rowOff []int32, cost []float64, kMaxF float64) (expanded, kept int)
 
 // asmSupported records the CPU probe; useAsmKernels is the live switch
 // (SetAsmKernels can turn it off, or back on up to asmSupported).

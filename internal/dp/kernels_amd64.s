@@ -2,8 +2,8 @@
 
 #include "textflag.h"
 
-// AVX2 kernels for the DP relaxation's evaluation pass and the stitch's
-// improvement pre-test. relaxEvalAsm's contract (see
+// AVX2 kernels for the DP relaxation's evaluation pass and the
+// improvement pre-test of both commits. relaxEvalAsm's contract (see
 // kernels.go): per lane, floating-point operations happen in the exact
 // order of relaxEvalGo — separate VMULPD/VADDPD (an FMA would skip the
 // intermediate rounding the reference performs), VROUNDPD toward -inf for
@@ -95,34 +95,39 @@ relaxloop:
 	VZEROUPPER
 	RET
 
-// func improveFilterAsm(mask []uint8, cand, k2f []float64, rowOff []int32, cost []float64, kMaxF float64) int
+// func improveFilterAsm(mask []uint8, cand, k2f, floor []float64, rowOff []int32, cost []float64, kMaxF float64) (expanded, kept int)
 //
 // len(cand) is a positive multiple of 4. Per 4-lane block whose mask byte
 // is non-zero:
 //
-//	n   += popcount(mask byte)
-//	idx  = rowOff + int32(min(max(k2f, 0), kMaxF))
-//	mask &= movmsk(cand < cost[idx])          // VGATHERDPD, LT_OS
+//	expanded += popcount(mask byte)
+//	f     = int32(min(max(k2f, 0), kMaxF))
+//	nc    = cand + floor[f]                    // VGATHERDPD; skipped for a nil floor
+//	mask &= movmsk(nc < cost[rowOff + f])      // VGATHERDPD, LT_OS
+//	kept += popcount(mask byte)
 //
 // Blocks with a zero mask byte are skipped without touching memory. All
 // four lanes of a live block are gathered, masked-out ones included: the
-// clamp keeps every index in [0, maxRowOff+kMax], which the Go wrapper
-// has checked against len(cost).
+// clamp keeps every index in [0, maxRowOff+kMax] for cost and [0, kMax]
+// for floor, which the Go wrapper has checked against both lengths.
 //
-// Register map: BX=mask DI=cand SI=k2f DX=rowOff R8=cost CX=len R10=lane
-// index R11=count; Y13=0 Y14=kMaxF, Y0-Y4 scratch (Y2 is the gather mask,
-// which VGATHERDPD clears, so it is re-armed per block).
-TEXT ·improveFilterAsm(SB), NOSPLIT, $0-136
+// Register map: BX=mask DI=cand SI=k2f R9=floor (0 = nil) DX=rowOff
+// R8=cost CX=len R10=lane index R11=expanded R13=kept; Y13=0 Y14=kMaxF,
+// Y0-Y6 scratch (Y2 and Y5 are gather masks, which VGATHERDPD clears, so
+// they are re-armed per block).
+TEXT ·improveFilterAsm(SB), NOSPLIT, $0-168
 	MOVQ mask_base+0(FP), BX
 	MOVQ cand_base+24(FP), DI
 	MOVQ cand_len+32(FP), CX
 	MOVQ k2f_base+48(FP), SI
-	MOVQ rowOff_base+72(FP), DX
-	MOVQ cost_base+96(FP), R8
-	VBROADCASTSD kMaxF+120(FP), Y14
+	MOVQ floor_base+72(FP), R9
+	MOVQ rowOff_base+96(FP), DX
+	MOVQ cost_base+120(FP), R8
+	VBROADCASTSD kMaxF+144(FP), Y14
 	VXORPD  Y13, Y13, Y13
 	XORQ    R10, R10
 	XORQ    R11, R11
+	XORQ    R13, R13
 
 filterloop:
 	MOVBLZX (BX), AX
@@ -134,14 +139,23 @@ filterloop:
 	VMAXPD  Y13, Y0, Y0       // max(k2f, 0); NaN -> 0
 	VMINPD  Y14, Y0, Y0       // min(·, kMaxF)
 	VCVTTPD2DQY Y0, X1        // bucket as int32
+	VMOVUPD (DI)(R10*8), Y4   // cand
+	TESTQ   R9, R9
+	JZ      filtercell
+	VPCMPEQD Y5, Y5, Y5       // gather every lane
+	VGATHERDPD Y5, (R9)(X1*8), Y6 // floor[bucket]
+	VADDPD  Y6, Y4, Y4        // cand + floor, the commit's penalty add
+
+filtercell:
 	VPADDD  (DX)(R10*4), X1, X1 // idx = rowOff + bucket
 	VPCMPEQD Y2, Y2, Y2       // gather every lane
 	VGATHERDPD Y2, (R8)(X1*8), Y3 // cost[idx]
-	VMOVUPD (DI)(R10*8), Y4   // cand
-	VCMPPD  $1, Y3, Y4, Y4    // cand < cost[idx] (LT_OS)
+	VCMPPD  $1, Y3, Y4, Y4    // nc < cost[idx] (LT_OS)
 	VMOVMSKPD Y4, R12
 	ANDL    R12, AX
 	MOVB    AX, (BX)
+	POPCNTL AX, R12
+	ADDQ    R12, R13
 
 filternext:
 	INCQ    BX
@@ -150,5 +164,6 @@ filternext:
 	JLT     filterloop
 
 	VZEROUPPER
-	MOVQ    R11, ret+128(FP)
+	MOVQ    R11, expanded+152(FP)
+	MOVQ    R13, kept+160(FP)
 	RET

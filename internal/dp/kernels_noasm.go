@@ -12,6 +12,6 @@ func relaxEvalAsm(cand, tot, k2f []float64, mask []uint8, cost, exact []float64,
 	panic("dp: relaxEvalAsm called without amd64 support")
 }
 
-func improveFilterAsm(mask []uint8, cand, k2f []float64, rowOff []int32, cost []float64, kMaxF float64) int {
+func improveFilterAsm(mask []uint8, cand, k2f, floor []float64, rowOff []int32, cost []float64, kMaxF float64) (expanded, kept int) {
 	panic("dp: improveFilterAsm called without amd64 support")
 }

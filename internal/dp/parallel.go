@@ -18,19 +18,21 @@ import (
 // (kernels.go) evaluates the source row's time buckets as contiguous
 // float64 lanes — candidate cost, exact elapsed time, destination bucket,
 // packed feasibility mask — and a scalar commit pass resolves the k2
-// scatter. Between them improveFilter gathers each masked-in lane's
-// destination cell from column j2 and clears the lanes whose pre-penalty
-// candidate is not strictly below it, so the commit walks, in ascending k,
-// only the lanes that may improve their cell. Evaluation and filter run on
-// AVX2 when available.
+// scatter. With AVX2, improveFilter runs between them: it gathers each
+// masked-in lane's destination cell from column j2 and clears the lanes
+// whose pre-penalty candidate is not strictly below it (a nil penalty
+// floor), so the commit walks, in ascending k, only the lanes that may
+// improve their cell, and a row with no survivor skips the commit. Without
+// AVX2 the filter would be a Go loop repeating the commit's own compare,
+// so the commit walks the whole mask.
 //
 // The pre-test is exact: within a stage the destination costs only fall,
 // and the window penalty the commit adds is finite and >= 0
 // (Config.validate), so a lane that cannot beat its cell's value before
 // the row cannot beat the live cell either. The commit still compares
 // against the live cell, because earlier lanes of the same row may have
-// lowered it. The filter returns the pre-filter lane count, so
-// StatesExpanded counts every masked-in lane as before.
+// lowered it. StatesExpanded counts every masked-in lane before the
+// filter, with kernels on or off.
 //
 // Determinism: for any destination cell (j2, k2) the candidate predecessors
 // (j, k) are visited in ascending (j, k) order — exactly the order the
@@ -237,8 +239,16 @@ func (s *stageRelax) gather(j2a, j2b int, sc *relaxScratch) int {
 				mask := sc.mask[:nb]
 				relaxEval(sc.cand[:n], sc.tot[:n], sc.k2f[:n], mask,
 					srcCost, srcExact, zeta, tCost, step, s.maxTrip, s.invDt, kMaxF, s.useAsm)
-				expanded += improveFilter(mask, sc.cand[:n], sc.k2f[:n], sc.rowOff[:n], 0, dstCost,
-					kMaxF, s.useAsm)
+				if s.useAsm {
+					exp, kept := improveFilter(mask, sc.cand[:n], sc.k2f[:n], nil, sc.rowOff[:n], 0, dstCost,
+						kMaxF, true)
+					expanded += exp
+					if kept == 0 {
+						continue
+					}
+				} else {
+					expanded += maskCount(mask)
+				}
 				// Commit the surviving lanes: ascending k via the packed
 				// mask; the window penalty needs the absolute arrival time,
 				// so it lands here rather than in the lanes. Arrival times

@@ -25,6 +25,7 @@ package dp
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 
@@ -322,11 +323,13 @@ func crossingsOf(cost, exact []float64, backs []int32, g dpGrid, stages []stageI
 // stitchSlabs recycles a stitch's working memory across StitchCtx calls:
 // the cost/exact arrays of the two live boundaries (the one being read and
 // the one being written), the banded backpointer pairs of every boundary,
-// and the lane buffers relaxEval fills. All of it is pointer-free, so the
-// GC never scans it. Recycling is safe because each boundary's cost and
-// backpointer band is re-seeded (inf / -1) before it is written, exact
-// cells are read only behind a finite cost, and lane cells only behind a
-// mask bit set by the same relaxEval call.
+// the penalty floor of the windowed boundary being written, and the lane
+// buffers relaxEval fills. All of it is pointer-free, so the GC never
+// scans it. Recycling is safe because each boundary's cost and backpointer
+// band is re-seeded (inf / -1) before it is written, the floor is
+// rewritten whole before each windowed boundary, exact cells are read only
+// behind a finite cost, and lane cells only behind a mask bit set by the
+// same relaxEval call.
 type stitchSlabs struct {
 	vals []float64 // 4 * maxBand*(kMax+1): curCost, nxtCost, curExact, nxtExact
 	// A boundary cell's backpointer pair: from packs the predecessor
@@ -334,15 +337,16 @@ type stitchSlabs struct {
 	// tables, -1 = unreached); cross is the bridging crossing's index in
 	// that entry table.
 	from, cross []int32
+	floor       []float64 // kMax+1 buckets, see penaltyFloor
 	lanes       relaxScratch
 }
 
 var stitchPool = sync.Pool{New: func() any { return new(stitchSlabs) }}
 
 // grabStitchSlabs returns recycled stitch slabs grown to hold `cells` value
-// cells per boundary, `backs` backpointer cells and `lanes` crossings per
-// relaxEval call.
-func grabStitchSlabs(cells, backs, lanes int) *stitchSlabs {
+// cells per boundary, `backs` backpointer cells, a kw-bucket penalty floor
+// and `lanes` crossings per relaxEval call.
+func grabStitchSlabs(cells, backs, kw, lanes int) *stitchSlabs {
 	sl := stitchPool.Get().(*stitchSlabs)
 	if cap(sl.vals) < 4*cells {
 		sl.vals = make([]float64, 4*cells)
@@ -353,6 +357,10 @@ func grabStitchSlabs(cells, backs, lanes int) *stitchSlabs {
 		sl.cross = make([]int32, backs)
 	}
 	sl.from, sl.cross = sl.from[:backs], sl.cross[:backs]
+	if cap(sl.floor) < kw {
+		sl.floor = make([]float64, kw)
+	}
+	sl.floor = sl.floor[:kw]
 	if cap(sl.lanes.cand) < lanes {
 		sl.lanes = newRelaxScratch(lanes)
 	}
@@ -373,18 +381,21 @@ type stitchStep struct {
 
 // commit is the scalar half of one (entry, k) source cell's relaxation:
 // relaxEval has evaluated the entry's n crossings as lanes and improveFilter
-// has cleared the lanes whose pre-penalty candidate cannot beat their
-// destination. commit walks the surviving mask bits in ascending crossing
-// order, adds the window penalty at the absolute arrival time and keeps
-// strict improvements against the live cell. Visit order across calls is
-// (entry, k, crossing), so ties keep the first-visited predecessor.
-// Arrival times ascend with the bucket inside one exit velocity and drop at
-// the next, so the sorted-window cursor restarts whenever the arrival time
-// decreases — correct for any crossing order, and so for any subset of it.
+// has cleared the lanes that cannot beat their destination even after the
+// boundary's penalty floor, and StitchCtx calls commit only when a lane
+// survived. commit walks the surviving mask bits in ascending crossing
+// order, adds the exact window penalty at the absolute arrival time and
+// keeps strict improvements against the live cell. Visit order across
+// calls is (entry, k, crossing), so ties keep the first-visited
+// predecessor. Arrival times ascend with the bucket inside one exit
+// velocity and drop at the next, so the sorted-window cursor restarts
+// whenever the arrival time decreases — correct for any crossing order,
+// and so for any subset of it.
 //
-// The filter is exact: destination costs only fall during a boundary step
-// and the penalty is non-negative (Config.validate), so a lane with
-// cand >= cost before the commit can never pass nc < cost during it.
+// The filter is exact (DESIGN.md §12): the floor never exceeds the
+// penalty added here, so a dropped lane's cand+floor equals or undercuts
+// this nc, and destination costs only fall during a boundary step, so it
+// could never pass nc < cost during the step.
 func (st *stitchStep) commit(et *entryTable, lanes *relaxScratch, n int, from int32) {
 	wi, last := 0, 0.0
 	tt, cd, kf := lanes.tot[:n], lanes.cand[:n], lanes.k2f[:n]
@@ -427,6 +438,48 @@ func (st *stitchStep) commit(et *entryTable, lanes *relaxScratch, n int, from in
 	}
 }
 
+// floorMargin widens each bucket's arrival span in penaltyFloor, relative to
+// the largest absolute time the row covers. An arrival's bucket comes from
+// floor(tot·(1/Δt)+0.5) and its window test from depart+tot, a handful of
+// roundings of at most 2⁻⁵³ relative each; 1e-9 covers them by six orders
+// of magnitude, and costs a bucket its floor only when a window edge lies
+// within nanoseconds of the bucket's span.
+const floorMargin = 1e-9
+
+// penaltyFloor fills floor[k2], one entry per destination time bucket
+// k2 = 0..len(floor)-1, with a lower bound on the window penalty that
+// stitchStep.commit adds to an arrival rounding into that bucket: penalty
+// when the bucket's arrival span depart + [(k2−½)Δt, (k2+½)Δt), widened
+// by the margin, misses every window, and 0 otherwise. The first bucket's
+// span is open below (improveFilter clamps lower buckets into it) and the
+// last, the clamp bucket, open above. ws is sorted by Start
+// (shrunkWindows' contract); the windows need not be disjoint. A cursor
+// drops each window whose End lies at or below the span, for this and every
+// later bucket, so the row costs O(len(floor) + len(ws)); the first window
+// left decides, since every later one starts no earlier.
+func penaltyFloor(floor []float64, ws []queue.Window, depart, dtSec, penalty float64) {
+	kMax := len(floor) - 1
+	margin := floorMargin * (math.Abs(depart) + float64(len(floor))*dtSec)
+	wi := 0
+	for k := range floor {
+		lo, hi := math.Inf(-1), math.Inf(1)
+		if k > 0 {
+			lo = depart + (float64(k)-0.5)*dtSec - margin
+		}
+		if k < kMax {
+			hi = depart + (float64(k)+0.5)*dtSec + margin
+		}
+		for wi < len(ws) && ws[wi].End <= lo {
+			wi++
+		}
+		if wi < len(ws) && ws[wi].Start <= hi {
+			floor[k] = 0
+		} else {
+			floor[k] = penalty
+		}
+	}
+}
+
 // StitchCtx assembles the optimal profile for one request from the solved
 // segment tables: a DP over boundary states (velocity index × time bucket
 // at each signal) whose transitions are the precomputed crossings, with
@@ -439,10 +492,11 @@ func (st *stitchStep) commit(et *entryTable, lanes *relaxScratch, n int, from in
 // each finite source cell (entry velocity, bucket k), relaxEval evaluates
 // the entry's crossings as lanes — candidate cost costAh+c0, arrival
 // durSec+elapsed, bucket floor(t·(1/Δt)+0.5), trip-budget mask —
-// improveFilter drops the lanes that cannot improve their destination, and
-// stitchStep.commit resolves the scatter for the rest. Both sums are the
-// scalar ones with commuted operands, so they are bit-identical to the
-// per-crossing loop they replace.
+// improveFilter drops the lanes that cannot improve their destination
+// even after the boundary's penalty floor, and stitchStep.commit resolves
+// the scatter for the rest. Both sums are the scalar ones with commuted
+// operands, so they are bit-identical to the per-crossing loop they
+// replace.
 //
 // The stitched optimum agrees with OptimizeCtx up to time-bucket merging:
 // the monolithic DP buckets paths by absolute elapsed time at every stage,
@@ -469,7 +523,7 @@ func (rt *RouteTables) StitchCtx(ctx context.Context, cfg Config) (*Result, erro
 	m := len(rt.specs)
 	kw := rt.grid.kMax + 1
 	cells := rt.maxBand * kw
-	sl := grabStitchSlabs(cells, rt.backOff[m+1], rt.maxCross)
+	sl := grabStitchSlabs(cells, rt.backOff[m+1], kw, rt.maxCross)
 	defer stitchPool.Put(sl)
 	curCost, nxtCost := sl.vals[0*cells:1*cells], sl.vals[1*cells:2*cells]
 	curExact, nxtExact := sl.vals[2*cells:3*cells], sl.vals[3*cells:4*cells]
@@ -491,6 +545,11 @@ func (rt *RouteTables) StitchCtx(ctx context.Context, cfg Config) (*Result, erro
 		fillF64(nxtCost[:band], inf)
 		fillI32(sl.from[lo:hi], -1)
 		ws, hasWin := windows[rt.specs[s].EndStage]
+		var floor []float64 // nil: no window binds, so no penalty to price
+		if hasWin {
+			floor = sl.floor
+			penaltyFloor(floor, ws, cfg.DepartTime, cfg.DtSec, cfg.PenaltyAh)
+		}
 		step := stitchStep{
 			ws: ws, hasWin: hasWin, depart: cfg.DepartTime, penalty: cfg.PenaltyAh,
 			cost: nxtCost[:band], exact: nxtExact[:band],
@@ -511,9 +570,12 @@ func (rt *RouteTables) StitchCtx(ctx context.Context, cfg Config) (*Result, erro
 				mask := lanes.mask[:(n+3)>>2]
 				relaxEval(lanes.cand[:n], lanes.tot[:n], lanes.k2f[:n], mask,
 					et.costAh, et.durSec, c0, 0, curExact[col+k], cfg.MaxTripSec, invDt, kMaxF, useAsm)
-				expanded += improveFilter(mask, lanes.cand[:n], lanes.k2f[:n], et.rowOff, et.maxRowOff,
+				exp, kept := improveFilter(mask, lanes.cand[:n], lanes.k2f[:n], floor, et.rowOff, et.maxRowOff,
 					step.cost, kMaxF, useAsm)
-				step.commit(et, lanes, n, int32(e)<<16|int32(k))
+				expanded += exp
+				if kept > 0 {
+					step.commit(et, lanes, n, int32(e)<<16|int32(k))
+				}
 			}
 		}
 		curCost, nxtCost = nxtCost, curCost
