@@ -91,10 +91,13 @@ chaos-cluster:
 		./internal/cloud ./cmd/cloudd
 
 # Fuzz for 10 s each: the one decoder that takes a payload from a peer
-# (decodeTables: gob + dp.ImportRouteTables), and the improvement filter
+# (decodeTables: gob + dp.ImportRouteTables), the flat table codec inside
+# it (dp.TablesWire's UnmarshalBinary: decode and re-encode to the same
+# bytes, allocation bounded by the input), and the improvement filter
 # kernel (improveFilter: AVX2 against the Go reference and the written
 # definition, penalty floor included). Their seed corpora also run in every
 # plain `go test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTables$$' -fuzztime 10s ./internal/cloud
+	$(GO) test -run '^$$' -fuzz '^FuzzTablesWire$$' -fuzztime 10s ./internal/dp
 	$(GO) test -run '^$$' -fuzz '^FuzzImproveFilter$$' -fuzztime 10s ./internal/dp

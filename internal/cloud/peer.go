@@ -414,6 +414,18 @@ func (pg *peerGroup) fetchOne(ctx context.Context, pl *peerLink, key string, cfg
 	return rt, nil
 }
 
+// encodeTables is the one encoder of a table payload a node sends to a
+// peer: a table GET's body and a replication push alike. gob frames the
+// dp.TablesWire's flat binary layout (its MarshalBinary) as one byte
+// string.
+func encodeTables(rt *dp.RouteTables) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(rt.Export()); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
 // decodeTables reads one gob-encoded dp.TablesWire of at most
 // maxTableBytes and imports it under the local config cfg. It is the only
 // decoder for a payload a node accepts from a peer: a fetched table set
@@ -437,11 +449,10 @@ func (pg *peerGroup) replicate(key string, rt *dp.RouteTables) {
 	if pg.cfg.Replicas < 2 {
 		return
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rt.Export()); err != nil {
+	payload, err := encodeTables(rt)
+	if err != nil {
 		return
 	}
-	payload := buf.Bytes()
 	now := time.Now()
 	for _, id := range pg.ring.Successors(key, pg.cfg.Replicas) {
 		if id == pg.self {

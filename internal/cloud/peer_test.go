@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -151,11 +153,63 @@ func TestClusterFetch404KeepsBreakerClosed(t *testing.T) {
 	}
 }
 
+// TestClusterTablesGetEncodesFirst: a table GET encodes its payload before
+// it commits a status, so an export that cannot be encoded is a 500 with a
+// JSON error rather than an empty 200 the peer would read as EOF, and a
+// good payload goes out with its Content-Length.
+func TestClusterTablesGetEncodesFirst(t *testing.T) {
+	s, err := NewServer(ServerConfig{DPTemplate: coarseDP(), SegmentTables: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := s.tableCfg(road.US25())
+	rt, err := dp.BuildRouteTables(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/tables/us25", nil))
+		return rec
+	}
+
+	s.segTables["us25"] = rt
+	rec := get()
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Length") != strconv.Itoa(rec.Body.Len()) {
+		t.Fatalf("GET: HTTP %d, Content-Length %q for a %d-byte body",
+			rec.Code, rec.Header().Get("Content-Length"), rec.Body.Len())
+	}
+	if _, err := decodeTables(rec.Body, cfg); err != nil {
+		t.Fatalf("served payload does not decode: %v", err)
+	}
+
+	// Import does not bound the solve count it carries, so these tables
+	// export a count wider than the payload's int32 field.
+	w := rt.Export()
+	w.SegmentSolves = math.MaxInt32 + 1
+	bad, err := dp.ImportRouteTables(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.segTables["us25"] = bad
+	rec = get()
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil || body["error"] == "" {
+		t.Fatalf("unencodable export: HTTP %d, body %q", rec.Code, rec.Body.String())
+	}
+}
+
+// rawWire gob-encodes arbitrary bytes the way a dp.TablesWire encodes its
+// flat layout, so fuzz seeds can damage the payload inside the envelope.
+type rawWire []byte
+
+func (r rawWire) MarshalBinary() ([]byte, error) { return r, nil }
+
 // FuzzDecodeTables: decodeTables is the only decoder for a payload a node
 // accepts from a peer, so any byte string must yield either an error or
 // tables that stitch without panicking. Seeds: a coarse-grid export, the
 // same export damaged the ways dp's import-corruption suite damages it,
-// and truncations.
+// truncations, and the flat payload damaged inside its gob envelope.
 func FuzzDecodeTables(f *testing.F) {
 	s, err := NewServer(ServerConfig{DPTemplate: coarseDP(), SegmentTables: true})
 	if err != nil {
@@ -205,6 +259,26 @@ func FuzzDecodeTables(f *testing.F) {
 		w := rt.Export()
 		mutate(w)
 		f.Add(encode(w))
+	}
+	// Byte-level seeds: the flat payload inside the gob envelope, damaged
+	// where the codec's framing checks look.
+	flat, err := rt.Export().MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, damage := range []func(b []byte) []byte{
+		func(b []byte) []byte { return b[:len(b)/2] },
+		func(b []byte) []byte { return append(b, 0) },
+		func(b []byte) []byte { b[0] = 'X'; return b },
+		func(b []byte) []byte { b[4]++; return b },
+		func(b []byte) []byte { b[5] = 2; return b },
+		func(b []byte) []byte { b[21] = 0x7f; return b }, // a spec count near 2³¹
+	} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(rawWire(damage(bytes.Clone(flat)))); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		got, err := decodeTables(bytes.NewReader(payload), cfg)

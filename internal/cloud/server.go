@@ -34,13 +34,13 @@ package cloud
 
 import (
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -543,7 +543,7 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleTablesGet serves GET /v1/tables/{routeKey}: the route's segment
-// tables in gob wire form, for peer fetches. A node only serves (and
+// tables as encodeTables writes them, for peer fetches. A node only serves (and
 // builds on demand) tables for keys it currently acts as owner of —
 // otherwise two cold non-owners could ping-pong fetches between them.
 func (s *Server) handleTablesGet(w http.ResponseWriter, r *http.Request) {
@@ -574,10 +574,20 @@ func (s *Server) handleTablesGet(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	// Encoding errors past the first byte cannot be reported; the reader's
-	// gob decoder surfaces the truncation.
-	_ = gob.NewEncoder(w).Encode(rt.Export())
+	// Encode before committing a status, as writeJSON does: an export that
+	// cannot be encoded is a 500 with a JSON error, never an empty 200
+	// that the peer's decoder reads as EOF.
+	payload, err := encodeTables(rt)
+	if err != nil {
+		s.fail(w, http.StatusInternalServerError, encodeError(err))
+		return
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.Itoa(len(payload)))
+	w.WriteHeader(http.StatusOK)
+	// Write errors past the header cannot be reported to the peer.
+	_, _ = w.Write(payload)
 }
 
 // handleTablesPut serves PUT /v1/tables/{routeKey}: the replication

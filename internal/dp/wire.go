@@ -13,14 +13,18 @@
 package dp
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
 )
 
-// TablesWire is the serializable form of RouteTables. All fields are
-// exported and free of function values and pointers so encoding/gob and
-// encoding/json both handle it.
+// TablesWire is the serializable form of RouteTables. Its binary form is
+// the flat layout of MarshalBinary, which encoding/gob picks up through
+// the encoding.BinaryMarshaler hook, so a gob stream of a TablesWire
+// carries one byte string rather than a reflective walk over every
+// crossing.
 type TablesWire struct {
 	// Fingerprint identifies the grid the tables were built on: the
 	// grid-defining config fields plus the discretized route the solver
@@ -218,4 +222,301 @@ func fingerprintTables(cfg *Config, g dpGrid, stages []stageInfo) uint64 {
 		}
 	}
 	return h.Sum64()
+}
+
+// The flat table layout (DESIGN.md §13), all integers little-endian. It
+// mirrors the wire structs field by field, each entry table as parallel
+// arrays:
+//
+//	header     magic "EVTW", version u8, path width u8, fingerprint u64,
+//	           segment solves i32, spec count u32, entry-set count u32
+//	spec       start stage i32, end stage i32, start m f64, end m f64,
+//	           boundary-name length u32, name bytes
+//	entry set  entry count u32, then per entry table: entry j i32,
+//	           crossing count n u32, n exit j i32, n duration f64,
+//	           n cost f64, n path length u32, then the path slab: every
+//	           crossing's path back to back, one index per width bytes
+//
+// Floats travel as their IEEE-754 bits, so every value (NaN payloads and
+// -0 included) round-trips bit for bit. The path width is 1 when every
+// path index is below 256 and 2 otherwise: paths are most of the payload,
+// and on the production US-25 grid every index fits one byte.
+//
+// The codec only frames: every TablesWire whose ints fit their fields
+// round-trips exactly, so a structurally broken table set (ragged paths,
+// mismatched segment counts, indices outside their bands) encodes and
+// decodes unchanged and is refused by ImportRouteTables, the one
+// validator. A layout change bumps wireVersion; nodes on different
+// versions cannot read each other's payloads, so a fetch fails and the
+// requester builds locally.
+const (
+	wireMagic   = "EVTW"
+	wireVersion = 1
+	// wireHeaderLen is the fixed header: magic, version, width,
+	// fingerprint, segment solves and the two counts.
+	wireHeaderLen = 4 + 1 + 1 + 8 + 4 + 4 + 4
+	// The fewest bytes one spec, entry set, entry table or crossing can
+	// occupy. UnmarshalBinary checks every count against the bytes left
+	// times these before it allocates, so a forged count costs an error,
+	// not memory.
+	wireSpecMin     = 4 + 4 + 8 + 8 + 4
+	wireEntrySetMin = 4
+	wireEntryMin    = 4 + 4
+	wireCrossingMin = 4 + 8 + 8 + 4
+)
+
+// MarshalBinary encodes the tables in the flat layout. It fails only on a
+// value that does not fit its field: an int outside int32 or a count
+// outside uint32.
+func (w *TablesWire) MarshalBinary() ([]byte, error) {
+	size, nPath, width := wireHeaderLen, 0, 1
+	for _, sp := range w.Specs {
+		size += wireSpecMin + len(sp.BoundaryName)
+	}
+	for _, ets := range w.Entries {
+		size += wireEntrySetMin
+		for _, ew := range ets {
+			size += wireEntryMin + len(ew.Crossings)*wireCrossingMin
+			for _, cw := range ew.Crossings {
+				nPath += len(cw.Path)
+				for _, j := range cw.Path {
+					if j > math.MaxUint8 {
+						width = 2
+					}
+				}
+			}
+		}
+	}
+
+	e := wireEncoder{b: make([]byte, 0, size+nPath*width)}
+	e.b = append(e.b, wireMagic...)
+	e.b = append(e.b, wireVersion, byte(width))
+	e.b = binary.LittleEndian.AppendUint64(e.b, w.Fingerprint)
+	e.i32(w.SegmentSolves, "segment solves")
+	e.u32(len(w.Specs))
+	e.u32(len(w.Entries))
+	for _, sp := range w.Specs {
+		e.i32(sp.StartStage, "spec start stage")
+		e.i32(sp.EndStage, "spec end stage")
+		e.f64(sp.StartM)
+		e.f64(sp.EndM)
+		e.u32(len(sp.BoundaryName))
+		e.b = append(e.b, sp.BoundaryName...)
+	}
+	for _, ets := range w.Entries {
+		e.u32(len(ets))
+		for _, ew := range ets {
+			e.i32(ew.EntryJ, "entry velocity")
+			e.u32(len(ew.Crossings))
+			for _, cw := range ew.Crossings {
+				e.i32(cw.ExitJ, "exit velocity")
+			}
+			for _, cw := range ew.Crossings {
+				e.f64(cw.DurSec)
+			}
+			for _, cw := range ew.Crossings {
+				e.f64(cw.CostAh)
+			}
+			for _, cw := range ew.Crossings {
+				e.u32(len(cw.Path))
+			}
+			for _, cw := range ew.Crossings {
+				for _, j := range cw.Path {
+					if width == 1 {
+						e.b = append(e.b, byte(j))
+					} else {
+						e.b = binary.LittleEndian.AppendUint16(e.b, j)
+					}
+				}
+			}
+		}
+	}
+	if e.err != nil {
+		return nil, e.err
+	}
+	return e.b, nil
+}
+
+// wireEncoder appends fields to b, keeping the first range error.
+type wireEncoder struct {
+	b   []byte
+	err error
+}
+
+func (e *wireEncoder) i32(v int, field string) {
+	if (v < math.MinInt32 || v > math.MaxInt32) && e.err == nil {
+		e.err = fmt.Errorf("dp: table wire %s %d does not fit int32", field, v)
+	}
+	e.b = binary.LittleEndian.AppendUint32(e.b, uint32(int32(v)))
+}
+
+func (e *wireEncoder) u32(n int) {
+	if uint64(n) > math.MaxUint32 && e.err == nil {
+		e.err = fmt.Errorf("dp: table wire count %d does not fit uint32", n)
+	}
+	e.b = binary.LittleEndian.AppendUint32(e.b, uint32(n))
+}
+
+func (e *wireEncoder) f64(x float64) {
+	e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(x))
+}
+
+var errWireTruncated = errors.New("dp: table payload truncated")
+
+// UnmarshalBinary decodes the flat layout into w. It checks the framing
+// only — magic, version, the canonical path width, every count against
+// the bytes left, and no trailing bytes — and leaves the tables' meaning
+// to ImportRouteTables. It keeps no reference to data. On error w is left
+// unchanged.
+func (w *TablesWire) UnmarshalBinary(data []byte) error {
+	if len(data) < len(wireMagic) || string(data[:len(wireMagic)]) != wireMagic {
+		return errors.New("dp: not a table payload (bad magic)")
+	}
+	if len(data) < wireHeaderLen {
+		return errWireTruncated
+	}
+	if v := data[4]; v != wireVersion {
+		return fmt.Errorf("dp: table payload version %d, this node reads %d", v, wireVersion)
+	}
+	width := int(data[5])
+	if width != 1 && width != 2 {
+		return fmt.Errorf("dp: table payload path width %d, want 1 or 2", width)
+	}
+	d := wireDecoder{b: data[6:]}
+	out := TablesWire{Fingerprint: d.u64()}
+	out.SegmentSolves = d.i32()
+	nSpecs := d.count(wireSpecMin)
+	nSets := d.count(wireEntrySetMin)
+	if d.err != nil {
+		return d.err
+	}
+	out.Specs = make([]SegmentSpec, nSpecs)
+	for i := range out.Specs {
+		sp := &out.Specs[i]
+		sp.StartStage, sp.EndStage = d.i32(), d.i32()
+		sp.StartM, sp.EndM = d.f64(), d.f64()
+		sp.BoundaryName = string(d.bytes(d.count(1)))
+	}
+	if d.err != nil {
+		return d.err
+	}
+	out.Entries = make([][]EntryWire, nSets)
+	for s := range out.Entries {
+		ets := make([]EntryWire, d.count(wireEntryMin))
+		for e := range ets {
+			d.entry(&ets[e], width)
+		}
+		out.Entries[s] = ets
+	}
+	if d.err != nil {
+		return d.err
+	}
+	if len(d.b) != 0 {
+		return fmt.Errorf("dp: table payload has %d trailing bytes", len(d.b))
+	}
+	// MarshalBinary picks the narrowest width, so a wide payload whose
+	// paths all fit one byte is not one it wrote.
+	if width == 2 && d.maxPath <= math.MaxUint8 {
+		return errors.New("dp: table payload uses 2-byte paths that fit in 1")
+	}
+	*w = out
+	return nil
+}
+
+// entry decodes one entry table into ew.
+func (d *wireDecoder) entry(ew *EntryWire, width int) {
+	ew.EntryJ = d.i32()
+	cws := make([]CrossingWire, d.count(wireCrossingMin))
+	ew.Crossings = cws
+	for c := range cws {
+		cws[c].ExitJ = d.i32()
+	}
+	for c := range cws {
+		cws[c].DurSec = d.f64()
+	}
+	for c := range cws {
+		cws[c].CostAh = d.f64()
+	}
+	lens := d.bytes(4 * len(cws))
+	if d.err != nil {
+		return
+	}
+	total := uint64(0)
+	for c := range cws {
+		total += uint64(binary.LittleEndian.Uint32(lens[4*c:]))
+	}
+	if total > uint64(len(d.b)/width) {
+		d.err = errWireTruncated
+		return
+	}
+	slab := d.bytes(int(total) * width)
+	paths := make([]uint16, total)
+	if width == 1 {
+		for i, b := range slab {
+			paths[i] = uint16(b)
+		}
+	} else {
+		for i := range paths {
+			paths[i] = binary.LittleEndian.Uint16(slab[2*i:])
+			d.maxPath = max(d.maxPath, paths[i])
+		}
+	}
+	off := 0
+	for c := range cws {
+		l := int(binary.LittleEndian.Uint32(lens[4*c:]))
+		cws[c].Path = paths[off : off+l : off+l]
+		off += l
+	}
+}
+
+// wireDecoder consumes fields from b. A read past the end sets err and
+// yields zeros (and counts of zero), so callers check err once per run of
+// fields. maxPath is the largest 2-byte path index read so far.
+type wireDecoder struct {
+	b       []byte
+	err     error
+	maxPath uint16
+}
+
+func (d *wireDecoder) bytes(n int) []byte {
+	if d.err != nil || n > len(d.b) {
+		if d.err == nil {
+			d.err = errWireTruncated
+		}
+		return nil
+	}
+	out := d.b[:n:n]
+	d.b = d.b[n:]
+	return out
+}
+
+func (d *wireDecoder) u32() uint32 {
+	if b := d.bytes(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (d *wireDecoder) u64() uint64 {
+	if b := d.bytes(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+func (d *wireDecoder) i32() int { return int(int32(d.u32())) }
+
+func (d *wireDecoder) f64() float64 { return math.Float64frombits(d.u64()) }
+
+// count reads a u32 count of items that each occupy at least minBytes and
+// fails unless that many fit in the bytes left.
+func (d *wireDecoder) count(minBytes int) int {
+	n := d.u32()
+	if d.err == nil && uint64(n)*uint64(minBytes) > uint64(len(d.b)) {
+		d.err = errWireTruncated
+	}
+	if d.err != nil {
+		return 0
+	}
+	return int(n)
 }
