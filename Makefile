@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test race bench bench-smoke bench-dp bench-verify chaos chaos-cluster fuzz
+.PHONY: check fmt vet kernel-fma lint build test race bench bench-smoke bench-dp bench-verify chaos chaos-cluster fuzz
 
 # The DP solver bench runs here too, so its parity and ε checks gate, but it
 # writes under the git-ignored .bench_build/: only a deliberate
@@ -20,10 +20,28 @@ fmt:
 	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 # The second pass type-checks the non-amd64 build (kernels_noasm.go's
-# stubs must track every asm kernel's name and signature).
+# stubs must track every asm kernel's name and signature); kernel-fma then
+# checks that build's lane-kernel code.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
+	$(MAKE) --no-print-directory kernel-fma
+
+# The lane kernels' Go references promise separate roundings, never a fused
+# multiply-add (kernels.go): the AVX2 kernels round every product, and so
+# must the reference on every architecture. arm64 fuses x*y+z unless an
+# explicit float64 conversion rounds the product, so this fails on any
+# FMADDD/FMSUBD/FNMADDD/FNMSUBD in the arm64 code of relaxEvalGo or
+# improveFilterGo (and if either symbol is missing, so a rename cannot
+# pass it silently).
+kernel-fma:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	GOARCH=arm64 $(GO) build -o "$$tmp/dp.a" ./internal/dp && \
+	$(GO) tool objdump -s 'dp\.(relaxEvalGo|improveFilterGo)$$' "$$tmp/dp.a" > "$$tmp/dis" && \
+	grep -q 'TEXT.*dp\.relaxEvalGo(SB)' "$$tmp/dis" && grep -q 'TEXT.*dp\.improveFilterGo(SB)' "$$tmp/dis" || \
+		{ echo "kernel-fma: could not disassemble the arm64 lane kernels"; exit 1; }; \
+	if grep -E '[[:space:]](FMADDD|FMSUBD|FNMADDD|FNMSUBD)[[:space:]]' "$$tmp/dis"; then \
+		echo "kernel-fma: fused multiply-add in an arm64 lane kernel reference"; exit 1; fi
 
 # Custom static-analysis suite (internal/lint via cmd/evlint), six
 # analyzers: context plumbing on the request path (ctxcheck), unit-suffix

@@ -2,17 +2,20 @@
 // problem across the four serving modes — exact DP with the relaxation
 // kernels forced off (the portable scalar path), exact DP with the AVX2
 // kernels, the coarse-to-fine fast path (DESIGN.md §12), and a warm stitch
-// from segment tables built outside the timer (DESIGN.md §11). It emits a
-// text table and, with -out, the BENCH_dp.json artifact `make bench-dp`
-// and CI archive.
+// from segment tables built outside the timer (DESIGN.md §11) — plus,
+// beside those warm modes, the cold table build on the production grid.
+// It emits a text table and, with -out, the BENCH_dp.json artifact `make
+// bench-dp` and CI archive.
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"time"
 
@@ -69,6 +72,24 @@ type dpBenchReport struct {
 	// StitchOverSolve = stitch-warm MinMs / exact-kernels MinMs: what a
 	// warm plan costs relative to solving it from scratch.
 	StitchOverSolve float64 `json:"stitch_over_solve"`
+	// ColdBuild is the cold start the warm stitch-warm mode leaves out.
+	ColdBuild dpColdBuild `json:"coldBuild"`
+}
+
+// dpColdBuild times dp.BuildRouteTables on US-25's production grid (the
+// serving tier's table build, DESIGN.md §11): what the first request for a
+// route waits for on a node without its tables (the solver's slab pools
+// already warm). It runs at the default worker count, which fans the entry
+// sweeps out, and at Workers 1.
+type dpColdBuild struct {
+	Grid           string  `json:"grid"`
+	Workers        int     `json:"workers"` // the default, runtime.GOMAXPROCS(0)
+	MinMs          float64 `json:"minMs"`
+	MedianMs       float64 `json:"medianMs"`
+	SerialMinMs    float64 `json:"serialMinMs"` // Workers 1
+	SerialMedianMs float64 `json:"serialMedianMs"`
+	SegmentSolves  int     `json:"segmentSolves"`
+	Crossings      int     `json:"crossings"`
 }
 
 // dpFig6Config is the Fig-6(b) queue-aware problem on the figure grid,
@@ -90,19 +111,69 @@ func dpFig6Config() (dp.Config, error) {
 // result). One warmup solve precedes the timed runs so slab-pool and
 // transition-cache fills do not count against the first iteration.
 func dpTimeMode(solve func() (*dp.Result, error), iters int) (minMs, medMs float64, res *dp.Result, err error) {
-	if res, err = solve(); err != nil {
-		return 0, 0, nil, err
+	minMs, medMs, err = dpTime(func() error {
+		res, err = solve()
+		return err
+	}, iters)
+	return minMs, medMs, res, err
+}
+
+// dpTime runs fn once untimed, then iters timed times, and reports the
+// min and median in ms.
+func dpTime(fn func() error, iters int) (minMs, medMs float64, err error) {
+	if err = fn(); err != nil {
+		return 0, 0, err
 	}
 	times := make([]float64, iters)
 	for i := range times {
 		start := time.Now()
-		if res, err = solve(); err != nil {
-			return 0, 0, nil, err
+		if err = fn(); err != nil {
+			return 0, 0, err
 		}
 		times[i] = float64(time.Since(start).Nanoseconds()) / 1e6
 	}
 	sort.Float64s(times)
-	return times[0], times[iters/2], res, nil
+	return times[0], times[iters/2], nil
+}
+
+// dpColdBuildBench times the production-grid table build at the default
+// worker count and at Workers 1; the two must build identical tables.
+func dpColdBuildBench(ctx context.Context, iters int) (dpColdBuild, error) {
+	cfg := dp.Config{Route: road.US25(), Vehicle: ev.SparkEV()}
+	var rt *dp.RouteTables
+	build := func(workers int) func() error {
+		return func() (err error) {
+			c := cfg
+			c.Workers = workers
+			rt, err = dp.BuildRouteTables(ctx, c)
+			return err
+		}
+	}
+	sMin, sMed, err := dpTime(build(1), iters)
+	if err != nil {
+		return dpColdBuild{}, err
+	}
+	serial := rt
+	cMin, cMed, err := dpTime(build(0), iters)
+	if err != nil {
+		return dpColdBuild{}, err
+	}
+	fanned, err := rt.Export().MarshalBinary()
+	if err != nil {
+		return dpColdBuild{}, err
+	}
+	one, err := serial.Export().MarshalBinary()
+	if err != nil {
+		return dpColdBuild{}, err
+	}
+	if !bytes.Equal(fanned, one) {
+		return dpColdBuild{}, fmt.Errorf("fanned-out and serial builds differ")
+	}
+	return dpColdBuild{
+		Grid: "us25-production", Workers: runtime.GOMAXPROCS(0),
+		MinMs: cMin, MedianMs: cMed, SerialMinMs: sMin, SerialMedianMs: sMed,
+		SegmentSolves: rt.SegmentSolves(), Crossings: rt.Crossings(),
+	}, nil
 }
 
 // optimizeFn adapts dp.Optimize on a fixed config to dpTimeMode.
@@ -192,6 +263,9 @@ func dpBench(fid experiments.Fidelity) (*dpBenchReport, error) {
 		mode("coarse-refine", cMin, cMed, cRes),
 		mode("stitch-warm", wMin, wMed, wRes),
 	}
+	if rep.ColdBuild, err = dpColdBuildBench(ctx, iters); err != nil {
+		return nil, fmt.Errorf("cold build: %w", err)
+	}
 	return rep, nil
 }
 
@@ -207,6 +281,9 @@ func (r *dpBenchReport) Render(w io.Writer) error {
 			m.Name, m.MinMs, m.MedianMs, m.SpeedupVsScalar, m.PlannedMAh, m.TripSec, m.StatesExpanded)
 	}
 	fmt.Fprintf(w, "\nstitch-warm / exact-kernels: %.2f\n", r.StitchOverSolve)
+	cb := r.ColdBuild
+	fmt.Fprintf(w, "cold table build (%s, %d solves, %d crossings): min %.3f ms, med %.3f ms at %d workers; min %.3f ms, med %.3f ms at 1\n",
+		cb.Grid, cb.SegmentSolves, cb.Crossings, cb.MinMs, cb.MedianMs, cb.Workers, cb.SerialMinMs, cb.SerialMedianMs)
 	return nil
 }
 

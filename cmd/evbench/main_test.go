@@ -85,4 +85,8 @@ func TestRunDPBench(t *testing.T) {
 	if rep.Modes[3].Name != "stitch-warm" || rep.StitchOverSolve <= 0 {
 		t.Fatalf("stitch-warm mode missing or unpriced: %+v, stitch/solve %v", rep.Modes[3], rep.StitchOverSolve)
 	}
+	if cb := rep.ColdBuild; cb.MinMs <= 0 || cb.MedianMs < cb.MinMs || cb.SerialMinMs <= 0 ||
+		cb.SerialMedianMs < cb.SerialMinMs || cb.Workers < 1 || cb.SegmentSolves <= 0 || cb.Crossings <= 0 {
+		t.Fatalf("cold-build block missing or nonsense: %+v", cb)
+	}
 }

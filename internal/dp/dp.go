@@ -93,10 +93,12 @@ type Config struct {
 	// Windows supplies arrival windows per signal; nil ignores signals.
 	Windows WindowsFunc
 
-	// Workers bounds the goroutines used for the per-stage relaxation.
-	// 0 uses runtime.GOMAXPROCS(0); 1 forces a serial pass. Any worker
-	// count produces bit-identical results (see parallel.go), so this is
-	// purely a throughput knob.
+	// Workers bounds the goroutines a solve or build uses. OptimizeCtx
+	// splits each stage's relaxation over them; BuildRouteTables instead
+	// fans its (segment, entry velocity) sweeps out over them and runs
+	// each sweep serially. 0 uses runtime.GOMAXPROCS(0); 1 forces a
+	// serial pass. Any worker count produces bit-identical results (see
+	// parallel.go and segment.go), so this is purely a throughput knob.
 	Workers int
 }
 
@@ -336,18 +338,11 @@ func optimizeCore(ctx context.Context, cfg Config, corr *corridor) (*Result, []i
 
 	windows := shrunkWindows(&cfg, stages)
 
-	// Hoisted transition physics: the traversal time, charge ζ and power
-	// mask of a (j, j2) transition depend only on the speed pair and the
-	// stage grade — never on the time bucket — so they are computed once
-	// per pair per distinct grade instead of once per relaxation
-	// (a factor-kMax redundancy in the innermost loop otherwise).
-	bands := newAccelBands(&cfg, ds, jMax)
-	trans := newTransitionCache(&cfg, ds, jMax, bands)
+	sw := newSweeper(&cfg, g, stages)
 	kw := kMax + 1
-	width := (jMax + 1) * kw
-	slabs := grabSlabs(width, n*width, cfg.Workers, jMax+1, kw)
+	slabs := grabSlabs((jMax+1)*kw, cfg.Workers, jMax+1, kw)
 	defer slabPool.Put(slabs)
-	curCost, _, expanded, err := sweep(ctx, &cfg, g, stages, windows, bands, trans, slabs, 0, n, 0)
+	curCost, _, expanded, err := sw.sweep(ctx, windows, slabs, cfg.Workers, 0, n, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -369,7 +364,7 @@ func optimizeCore(ctx context.Context, cfg Config, corr *corridor) (*Result, []i
 	ks := make([]int, n+1)
 	js[n], ks[n] = 0, bestK
 	for i := n; i > 0; i-- {
-		bp := slabs.backs[(i-1)*width+js[i]*kw+ks[i]]
+		bp := slabs.back(i-1, stages[i], js[i], ks[i], kw)
 		if bp < 0 {
 			return nil, nil, fmt.Errorf("dp: broken backpointer at stage %d", i)
 		}
@@ -383,14 +378,46 @@ func optimizeCore(ctx context.Context, cfg Config, corr *corridor) (*Result, []i
 	return res, js, nil
 }
 
-// sweep relaxes stages a..b-1 on pooled slabs, starting from the one
-// seeded state at stage a: velocity index j0, elapsed 0. It is the single
-// stage loop of the package — the monolithic DP runs it over the whole
-// route (0, n, 0), the segment-table build over each segment once per entry
-// velocity. windows is keyed by absolute stage index; nil leaves every
-// arrival unconstrained. Stage a+i+1's incoming backpointers land at
-// slabs.backs[i*width:]; the returned cost and exact arrays hold stage b
-// and alias slabs.vals, so they are valid until the slabs are reused.
+// sweeper holds what every sweep over one grid shares: the defaulted
+// config, the grid and its stages, the acceleration bands, the transposed
+// traversal times and each stage's grade table. It is read-only once built
+// — newSweeper fills every grade table the stages need, so no sweep writes
+// the transition cache's map — and the table build's concurrent entry
+// sweeps share one.
+type sweeper struct {
+	cfg    *Config
+	g      dpGrid
+	stages []stageInfo
+	bands  *accelBands
+	dTauT  []float64
+	grades []*gradeTable // grades[i]: the piece from stage i to i+1
+}
+
+// newSweeper hoists the transition physics: the traversal time, charge ζ
+// and power mask of a (j, j2) transition depend only on the speed pair and
+// the stage grade — never on the time bucket — so they are computed once
+// per pair per distinct grade instead of once per relaxation (a
+// factor-kMax redundancy in the innermost loop otherwise).
+func newSweeper(cfg *Config, g dpGrid, stages []stageInfo) *sweeper {
+	bands := newAccelBands(cfg, g.ds, g.jMax)
+	trans := newTransitionCache(cfg, g.ds, g.jMax, bands)
+	grades := make([]*gradeTable, len(stages)-1)
+	for i := range grades {
+		grades[i] = trans.forGrade(cfg.Route.GradeAt(stages[i].posM + g.ds/2))
+	}
+	return &sweeper{cfg: cfg, g: g, stages: stages, bands: bands, dTauT: trans.dTauT, grades: grades}
+}
+
+// sweep relaxes stages a..b-1 on pooled slabs across at most `workers`
+// goroutines per stage, starting from the one seeded state at stage a:
+// velocity index j0, elapsed 0. It is the single stage loop of the package
+// — the monolithic DP runs it over the whole route (0, n, 0), the
+// segment-table build over each segment once per entry velocity. windows
+// is keyed by absolute stage index; nil leaves every arrival
+// unconstrained. Stage a+i+1's incoming backpointers land in band i of
+// slabs.backs (solveSlabs.back); the returned cost and exact arrays hold
+// stage b and alias slabs.vals, so they are valid until the slabs are
+// reused.
 //
 // Value arrays are flattened [j*(kMax+1)+k]. The time bucket k discretizes
 // the state space; exact carries the true elapsed time of each bucket's
@@ -401,16 +428,17 @@ func optimizeCore(ctx context.Context, cfg Config, corr *corridor) (*Result, []i
 // never writes keep stale exact values from two stages back; they are
 // unreachable, because every read is guarded by the freshly inf-seeded
 // cost.
-func sweep(ctx context.Context, cfg *Config, g dpGrid, stages []stageInfo, windows map[int][]queue.Window,
-	bands *accelBands, trans *transitionCache, slabs *solveSlabs, a, b, j0 int) (cost, exact []float64, expanded int, err error) {
+func (sw *sweeper) sweep(ctx context.Context, windows map[int][]queue.Window, slabs *solveSlabs,
+	workers, a, b, j0 int) (cost, exact []float64, expanded int, err error) {
 
+	cfg, g := sw.cfg, sw.g
 	kw := g.kMax + 1
 	width := (g.jMax + 1) * kw
 	curCost := slabs.vals[0*width : 1*width]
 	nxtCost := slabs.vals[1*width : 2*width]
 	curExact := slabs.vals[2*width : 3*width]
 	nxtExact := slabs.vals[3*width : 4*width]
-	backs := slabs.backs
+	slabs.band(sw.stages[a+1:b+1], kw)
 	fillF64(curCost, inf)
 	curCost[j0*kw] = 0  // velocity j0, elapsed 0 at the entry stage
 	curExact[j0*kw] = 0 // the one exact cell read without a commit having written it
@@ -419,12 +447,12 @@ func sweep(ctx context.Context, cfg *Config, g dpGrid, stages []stageInfo, windo
 
 	for i := 0; i < b-a; i++ {
 		// Stage boundary: the previous stage's workers are already joined
-		// (stageRelax.run waits on its WaitGroup), so returning here
+		// (relaxPool.run waits on its WaitGroup), so returning here
 		// abandons only this call's private arrays.
 		if err := ctx.Err(); err != nil {
 			return nil, nil, 0, err
 		}
-		cur, nxt := stages[a+i], stages[a+i+1]
+		cur, nxt := sw.stages[a+i], sw.stages[a+i+1]
 		curLo, curHi := cur.minJ, cur.maxJ
 		if i == 0 {
 			// Only the seeded column is populated; narrowing the scan band
@@ -436,25 +464,25 @@ func sweep(ctx context.Context, cfg *Config, g dpGrid, stages []stageInfo, windo
 		// (the next stage's predecessor scan stays inside it), so the
 		// inf/-1 seeding is banded too — on recycled slabs the cells outside
 		// hold stale values that no read can reach.
-		bLo, bHi := nxt.minJ*kw, (nxt.maxJ+1)*kw
-		fillF64(nxtCost[bLo:bHi], inf)
-		fillI32(backs[i*width+bLo:i*width+bHi], -1)
-		sr := &stageRelax{
+		nxtBack := slabs.backs[slabs.backOff[i]:slabs.backOff[i+1]]
+		fillF64(nxtCost[nxt.minJ*kw:(nxt.maxJ+1)*kw], inf)
+		fillI32(nxtBack, -1)
+		pool.stage = stageRelax{
 			kMax: g.kMax, tw: g.jMax + 1,
 			curMinJ: curLo, curMaxJ: curHi,
 			nxtMinJ: nxt.minJ, nxtMaxJ: nxt.maxJ,
-			bands:   bands,
-			tr:      trans.forGrade(cfg.Route.GradeAt(cur.posM + g.ds/2)),
-			dTauT:   trans.dTauT,
+			bands:   sw.bands,
+			tr:      sw.grades[a+i],
+			dTauT:   sw.dTauT,
 			curCost: curCost, curExact: curExact,
 			nxtCost: nxtCost, nxtExact: nxtExact,
-			nxtBack: backs[i*width : (i+1)*width],
+			nxtBack: nxtBack,
 			dwell:   cur.dwellSec, timeW: cfg.TimeWeightAhPerSec,
 			maxTrip: cfg.MaxTripSec, invDt: 1 / cfg.DtSec,
 			depart: cfg.DepartTime, penalty: cfg.PenaltyAh,
 			ws: ws, hasWin: hasWin,
 		}
-		expanded += sr.run(cfg.Workers, pool)
+		expanded += pool.run(workers)
 		curCost, nxtCost = nxtCost, curCost
 		curExact, nxtExact = nxtExact, curExact
 		pool.advance()

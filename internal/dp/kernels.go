@@ -19,35 +19,59 @@ import (
 	"sync"
 )
 
-// solveSlabs recycles a solve's large allocations across OptimizeCtx calls:
-// the four double-buffered value arrays (one backing slab, sub-sliced), the
-// backpointer slab and the relaxation pool. Recycling is safe because the
-// DP re-seeds everything it reads — cost and backpointer cells are
-// inf/-1-filled per stage across the destination band that bounds every
-// read, and exact/scratch cells are only ever read behind a finite-cost
-// mask — so stale contents cannot leak between solves. The arrays hold no pointers, which also keeps them out of
-// GC scans.
+// solveSlabs recycles a sweep's large allocations across solves and table
+// builds: the four double-buffered value arrays (one backing slab,
+// sub-sliced), the banded backpointer slab and the relaxation pool.
+// Recycling is safe because the DP re-seeds everything it reads — cost and
+// backpointer cells are inf/-1-filled per stage across the destination band
+// that bounds every read, and exact/scratch cells are only ever read behind
+// a finite-cost mask — so stale contents cannot leak between solves. The
+// arrays hold no pointers, which also keeps them out of GC scans.
 type solveSlabs struct {
-	vals  []float64 // 4*width: curCost, nxtCost, curExact, nxtExact
-	backs []int32
-	pool  *relaxPool
+	vals []float64 // 4*width: curCost, nxtCost, curExact, nxtExact
+	// backs holds each relaxed stage's incoming backpointers over that
+	// stage's [minJ, maxJ] band only, the way the stitch bands its
+	// boundaries: destination stage i's band starts at backOff[i] (see
+	// band and back).
+	backs   []int32
+	backOff []int
+	pool    *relaxPool
 }
 
 var slabPool = sync.Pool{New: func() any { return new(solveSlabs) }}
 
-// grabSlabs returns recycled slabs grown to the given geometry.
-func grabSlabs(width, nBacks, workers, jw, kw int) *solveSlabs {
+// grabSlabs returns recycled slabs grown to the given geometry; the sweep
+// sizes the backpointer band itself (band).
+func grabSlabs(width, workers, jw, kw int) *solveSlabs {
 	s := slabPool.Get().(*solveSlabs)
 	if cap(s.vals) < 4*width {
 		s.vals = make([]float64, 4*width)
 	}
 	s.vals = s.vals[:4*width]
-	if cap(s.backs) < nBacks {
-		s.backs = make([]int32, nBacks)
-	}
-	s.backs = s.backs[:nBacks]
 	s.pool = s.pool.fit(workers, jw, kw)
 	return s
+}
+
+// band lays out backs for the destination stages dst of one sweep, in
+// order: Σ (maxJ−minJ+1)·kw cells rather than a full velocity width per
+// stage.
+func (s *solveSlabs) band(dst []stageInfo, kw int) {
+	s.backOff = append(s.backOff[:0], 0)
+	off := 0
+	for _, st := range dst {
+		off += (st.maxJ - st.minJ + 1) * kw
+		s.backOff = append(s.backOff, off)
+	}
+	if cap(s.backs) < off {
+		s.backs = make([]int32, off)
+	}
+	s.backs = s.backs[:off]
+}
+
+// back returns the backpointer of cell (j, k) of destination stage i, whose
+// stage description is st.
+func (s *solveSlabs) back(i int, st stageInfo, j, k, kw int) int32 {
+	return s.backs[s.backOff[i]+(j-st.minJ)*kw+k]
 }
 
 // relaxEval fills, for each source time bucket k in [0, len(cost)):
@@ -80,7 +104,11 @@ func relaxEval(cand, tot, k2f []float64, mask []uint8, cost, exact []float64,
 
 // relaxEvalGo is the portable reference for relaxEval, starting at lane
 // `from` (always a multiple of 4). The expression order is the kernel
-// contract: the assembly must perform the exact same roundings.
+// contract: the assembly must perform the exact same roundings. The
+// float64 conversion rounds the product before the add; without it arm64
+// compiles e*invDt+0.5 to one fused multiply-add, whose single rounding can
+// move a bucket (the Go spec permits the fusion, and an explicit
+// conversion is what forbids it; `make kernel-fma` checks the arm64 code).
 func relaxEvalGo(cand, tot, k2f []float64, mask []uint8, cost, exact []float64,
 	zeta, tCost, step, maxTrip, invDt, kMaxF float64, from int) {
 
@@ -92,7 +120,7 @@ func relaxEvalGo(cand, tot, k2f []float64, mask []uint8, cost, exact []float64,
 		e := exact[k] + step
 		cand[k] = (c0 + zeta) + tCost
 		tot[k] = e
-		f := math.Floor(e*invDt + 0.5)
+		f := math.Floor(float64(e*invDt) + 0.5)
 		if f > kMaxF {
 			f = kMaxF
 		}

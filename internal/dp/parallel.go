@@ -54,7 +54,7 @@ type stageRelax struct {
 
 	curCost, curExact []float64
 	nxtCost, nxtExact []float64
-	nxtBack           []int32
+	nxtBack           []int32 // the destination band only: column j2 at (j2-nxtMinJ)*(kMax+1)
 
 	dwell, timeW, maxTrip, invDt, depart, penalty float64
 
@@ -84,12 +84,22 @@ type relaxScratch struct {
 }
 
 // relaxPool carries the allocations that persist across a solve's stages:
-// per-worker lane buffers and the per-column finite-range tracking that the
-// stages hand forward. One pool serves one solve at a time.
+// per-worker lane buffers, the per-column finite-range tracking that the
+// stages hand forward, and a parallel stage's fan-out state. One pool
+// serves one solve at a time.
 type relaxPool struct {
 	kLo, kHi       []int
 	nxtKLo, nxtKHi []int
 	per            []relaxScratch
+
+	// stage is the relaxation run is working on. Helper w relaxes
+	// destination columns [lo[w], hi[w]] into counts[w]; helpers[w] is its
+	// goroutine body, made once with the pool, so a parallel stage starts
+	// its helpers without allocating.
+	stage          stageRelax
+	lo, hi, counts []int
+	helpers        []func()
+	wg             sync.WaitGroup
 }
 
 func newRelaxPool(workers, jw, kw int) *relaxPool {
@@ -100,10 +110,18 @@ func newRelaxPool(workers, jw, kw int) *relaxPool {
 		kLo: make([]int, jw), kHi: make([]int, jw),
 		nxtKLo: make([]int, jw), nxtKHi: make([]int, jw),
 		per: make([]relaxScratch, workers),
+		lo:  make([]int, workers), hi: make([]int, workers), counts: make([]int, workers),
+		helpers: make([]func(), workers),
 	}
 	for i := range p.per {
 		p.per[i] = newRelaxScratch(kw)
 		p.per[i].rowOff = make([]int32, kw)
+	}
+	for w := range p.helpers {
+		p.helpers[w] = func() {
+			defer p.wg.Done()
+			p.counts[w] = p.stage.gather(p.lo[w], p.hi[w], &p.per[w])
+		}
 	}
 	return p
 }
@@ -153,43 +171,40 @@ func (p *relaxPool) advance() {
 	p.kHi, p.nxtKHi = p.nxtKHi, p.kHi
 }
 
-// run relaxes the stage across at most `workers` goroutines and returns the
-// number of states expanded (identical for every worker count).
-func (s *stageRelax) run(workers int, pool *relaxPool) int {
-	s.kLo, s.kHi = pool.kLo, pool.kHi
-	s.nxtKLo, s.nxtKHi = pool.nxtKLo, pool.nxtKHi
+// run relaxes p.stage across at most `workers` goroutines and returns the
+// number of states expanded (identical for every worker count). The
+// destination columns split into contiguous chunks, one per helper
+// goroutine, all joined before run returns. The caller only waits: had it
+// relaxed a chunk itself, the last helper started would sit in its
+// processor's run-next slot, which an idle processor steals only after a
+// delay, and on the production grid that cost an exact solve ~25 %.
+func (p *relaxPool) run(workers int) int {
+	s := &p.stage
+	s.kLo, s.kHi = p.kLo, p.kHi
+	s.nxtKLo, s.nxtKHi = p.nxtKLo, p.nxtKHi
 	s.useAsm = useAsmKernels
 	cols := s.nxtMaxJ - s.nxtMinJ + 1
 	if cols <= 0 {
 		return 0
 	}
-	if workers > cols {
-		workers = cols
-	}
-	if workers > len(pool.per) {
-		workers = len(pool.per)
-	}
+	workers = min(workers, cols, len(p.per))
 	if workers <= 1 {
-		return s.gather(s.nxtMinJ, s.nxtMaxJ, &pool.per[0])
+		return s.gather(s.nxtMinJ, s.nxtMaxJ, &p.per[0])
 	}
-	counts := make([]int, workers)
 	chunk := (cols + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	w := 0
+	for ; w < workers; w++ {
 		a := s.nxtMinJ + w*chunk
-		b := min(a+chunk-1, s.nxtMaxJ)
-		if a > b {
+		if a > s.nxtMaxJ {
 			break
 		}
-		wg.Add(1)
-		go func(w, a, b int) {
-			defer wg.Done()
-			counts[w] = s.gather(a, b, &pool.per[w])
-		}(w, a, b)
+		p.lo[w], p.hi[w] = a, min(a+chunk-1, s.nxtMaxJ)
+		p.wg.Add(1)
+		go p.helpers[w]()
 	}
-	wg.Wait()
+	p.wg.Wait()
 	expanded := 0
-	for _, c := range counts {
+	for _, c := range p.counts[:w] {
 		expanded += c
 	}
 	return expanded
@@ -210,7 +225,7 @@ func (s *stageRelax) gather(j2a, j2b int, sc *relaxScratch) int {
 			// test covers all three scatter writes.
 			dstCost := s.nxtCost[j2*kw:][:kw]
 			dstExact := s.nxtExact[j2*kw:][:kw]
-			dstBack := s.nxtBack[j2*kw:][:kw]
+			dstBack := s.nxtBack[(j2-s.nxtMinJ)*kw:][:kw]
 			row := j2 * s.tw
 			for j := jA; j <= jB; j++ {
 				if j2 < s.bands.lo[j] || j2 > s.bands.hi[j] {
@@ -226,7 +241,10 @@ func (s *stageRelax) gather(j2a, j2b int, sc *relaxScratch) int {
 				}
 				step := s.dwell + s.dTauT[t]
 				zeta := s.tr.zetaT[t]
-				tCost := s.timeW * step
+				// Rounded before relaxEval adds it, as the AVX2 kernel
+				// receives it: the conversion keeps arm64 from fusing it
+				// into the lane sum.
+				tCost := float64(s.timeW * step)
 				packed := int32(j) << 16
 				// Evaluate the finite span as 4-aligned lanes; buckets below
 				// lo inside the alignment slack hold the inf sentinel and

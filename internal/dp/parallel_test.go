@@ -165,9 +165,10 @@ func TestOptimizeWorkersValidation(t *testing.T) {
 
 // TestStageGatherAllocFree pins the sweep's per-stage relaxation as
 // allocation-free: gather runs once per worker per stage of every solve
-// and table build, so all its buffers come from the relaxPool. The stage
-// is the one entering the coarse US-25 grid's first windowed signal,
-// relaxed from a real sweep, so the window-penalty path runs too.
+// and table build, so all its buffers come from the relaxPool, and so does
+// a parallel stage's fan-out state. The stage is the one entering the
+// coarse US-25 grid's first windowed signal, relaxed from a real sweep, so
+// the window-penalty path runs too.
 func TestStageGatherAllocFree(t *testing.T) {
 	cfg := stitchRequest(t, stitchGrids()[1], 0)
 	cfg.applyDefaults()
@@ -192,23 +193,18 @@ func TestStageGatherAllocFree(t *testing.T) {
 	if a == g.n {
 		t.Fatal("no windowed stage on the test route")
 	}
-	bands := newAccelBands(&cfg, g.ds, g.jMax)
-	trans := newTransitionCache(&cfg, g.ds, g.jMax, bands)
+	sw := newSweeper(&cfg, g, stages)
 	kw := g.kMax + 1
 	width := (g.jMax + 1) * kw
-	slabs := &solveSlabs{
-		vals:  make([]float64, 4*width),
-		backs: make([]int32, g.n*width),
-		pool:  newRelaxPool(1, g.jMax+1, kw),
-	}
-	cost, exact, _, err := sweep(context.Background(), &cfg, g, stages, windows, bands, trans, slabs, 0, a, 0)
+	slabs := &solveSlabs{vals: make([]float64, 4*width), pool: newRelaxPool(1, g.jMax+1, kw)}
+	cost, exact, _, err := sw.sweep(context.Background(), windows, slabs, 1, 0, a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nxtCost, nxtBack := make([]float64, width), make([]int32, width)
+	cur, nxt := stages[a], stages[a+1]
+	nxtCost, nxtBack := make([]float64, width), make([]int32, (nxt.maxJ-nxt.minJ+1)*kw)
 	fillF64(nxtCost, inf)
 	fillI32(nxtBack, -1)
-	cur, nxt := stages[a], stages[a+1]
 	ws, hasWin := windows[a+1]
 	pool := slabs.pool
 	for _, asm := range []bool{false, asmSupported} {
@@ -216,9 +212,9 @@ func TestStageGatherAllocFree(t *testing.T) {
 			kMax: g.kMax, tw: g.jMax + 1,
 			curMinJ: cur.minJ, curMaxJ: cur.maxJ,
 			nxtMinJ: nxt.minJ, nxtMaxJ: nxt.maxJ,
-			bands:   bands,
-			tr:      trans.forGrade(cfg.Route.GradeAt(cur.posM + g.ds/2)),
-			dTauT:   trans.dTauT,
+			bands:   sw.bands,
+			tr:      sw.grades[a],
+			dTauT:   sw.dTauT,
 			curCost: cost, curExact: exact,
 			nxtCost: nxtCost, nxtExact: make([]float64, width),
 			nxtBack: nxtBack,
@@ -238,6 +234,35 @@ func TestStageGatherAllocFree(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: stageRelax.gather allocates %.1f times per call, want 0", kernelName(asm), allocs)
 		}
+	}
+
+	// A two-worker stage starts its helpers from the pool's prebuilt
+	// closures and counts into the pool, so the fan-out allocates nothing
+	// either. The race detector allocates per goroutine, so it skips this.
+	if raceEnabled {
+		return
+	}
+	two := newRelaxPool(2, g.jMax+1, kw)
+	copy(two.kLo, pool.kLo)
+	copy(two.kHi, pool.kHi)
+	two.stage = stageRelax{
+		kMax: g.kMax, tw: g.jMax + 1,
+		curMinJ: cur.minJ, curMaxJ: cur.maxJ,
+		nxtMinJ: nxt.minJ, nxtMaxJ: nxt.maxJ,
+		bands: sw.bands, tr: sw.grades[a], dTauT: sw.dTauT,
+		curCost: cost, curExact: exact,
+		nxtCost: nxtCost, nxtExact: make([]float64, width),
+		nxtBack: nxtBack,
+		dwell:   cur.dwellSec, timeW: cfg.TimeWeightAhPerSec,
+		maxTrip: cfg.MaxTripSec, invDt: 1 / cfg.DtSec,
+		depart: cfg.DepartTime, penalty: cfg.PenaltyAh,
+		ws: ws, hasWin: hasWin,
+	}
+	if n := two.run(2); n == 0 {
+		t.Fatalf("two-worker stage %d relaxed no states", a)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { two.run(2) }); allocs != 0 {
+		t.Errorf("relaxPool.run at two workers allocates %.1f times per stage, want 0", allocs)
 	}
 }
 

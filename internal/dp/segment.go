@@ -30,6 +30,7 @@ import (
 	"sync"
 
 	"evvo/internal/ev"
+	"evvo/internal/par"
 	"evvo/internal/queue"
 	"evvo/internal/road"
 )
@@ -192,9 +193,18 @@ func (rt *RouteTables) index() {
 
 // BuildRouteTables splits cfg.Route at its signal boundaries and solves
 // each segment once per admissible entry velocity. cfg.Windows and
-// cfg.DepartTime are ignored: windows bind at stitch time only. The
-// context is observed at every segment-stage boundary, exactly like
-// OptimizeCtx.
+// cfg.DepartTime are ignored: windows bind at stitch time only.
+//
+// The (segment, entry velocity) sweeps are independent, so the build fans
+// them out as one flat job list over cfg.Workers goroutines (par.ForEach)
+// and runs each sweep serially: a segment sweep's stages are too narrow
+// to split profitably, and one goroutine per job keeps the build's
+// goroutine count at cfg.Workers. Each job sweeps on its own pooled slabs,
+// whose backpointers are banded to its segment's stages, and writes only
+// its own entry-table slot, so the tables are bit-identical for any worker
+// count. The context is observed at every segment-stage boundary, exactly
+// like OptimizeCtx; a failure reports the lowest failing job's error, as a
+// serial loop would, and the workers are joined before the build returns.
 //
 //lint:certify pure
 func BuildRouteTables(ctx context.Context, cfg Config) (*RouteTables, error) {
@@ -214,19 +224,10 @@ func BuildRouteTables(ctx context.Context, cfg Config) (*RouteTables, error) {
 		return nil, err
 	}
 
-	bounds := segmentBounds(stages)
-	maxM := 0
-	for si := 0; si < len(bounds)-1; si++ {
-		maxM = max(maxM, bounds[si+1]-bounds[si])
-	}
-
-	bands := newAccelBands(&cfg, g.ds, g.jMax)
-	trans := newTransitionCache(&cfg, g.ds, g.jMax, bands)
-	kw := g.kMax + 1
-	width := (g.jMax + 1) * kw
-	slabs := grabSlabs(width, maxM*width, cfg.Workers, g.jMax+1, kw)
-	defer slabPool.Put(slabs)
 	rt := &RouteTables{cfg: cfg, key: gridKeyOf(&cfg), stages: stages, grid: g}
+	type job struct{ seg, j0 int }
+	var jobs []job
+	bounds := segmentBounds(stages)
 	for si := 0; si < len(bounds)-1; si++ {
 		a, b := bounds[si], bounds[si+1]
 		spec := SegmentSpec{
@@ -236,24 +237,37 @@ func BuildRouteTables(ctx context.Context, cfg Config) (*RouteTables, error) {
 		if sig := stages[b].signal; sig != nil {
 			spec.BoundaryName = sig.Name
 		}
-		var ets []entryTable
-		for j0 := stages[a].minJ; j0 <= stages[a].maxJ; j0++ {
-			// No windows inside a segment: signals sit only at boundaries,
-			// where the stitcher applies the penalties.
-			cost, exact, _, err := sweep(ctx, &cfg, g, stages, nil, bands, trans, slabs, a, b, j0)
-			if err != nil {
-				return nil, err
-			}
-			et, err := crossingsOf(cost, exact, slabs.backs, g, stages, a, b, j0)
-			if err != nil {
-				return nil, err
-			}
-			rt.segmentSolves++
-			ets = append(ets, et)
-		}
 		rt.specs = append(rt.specs, spec)
-		rt.entries = append(rt.entries, ets)
+		rt.entries = append(rt.entries, make([]entryTable, stages[a].maxJ-stages[a].minJ+1))
+		for j0 := stages[a].minJ; j0 <= stages[a].maxJ; j0++ {
+			jobs = append(jobs, job{si, j0})
+		}
 	}
+
+	sw := newSweeper(&cfg, g, stages)
+	kw := g.kMax + 1
+	err = par.ForEach(cfg.Workers, len(jobs), func(i int) error {
+		jb := jobs[i]
+		a, b := rt.specs[jb.seg].StartStage, rt.specs[jb.seg].EndStage
+		slabs := grabSlabs((g.jMax+1)*kw, 1, g.jMax+1, kw)
+		defer slabPool.Put(slabs)
+		// No windows inside a segment: signals sit only at boundaries,
+		// where the stitcher applies the penalties.
+		cost, exact, _, err := sw.sweep(ctx, nil, slabs, 1, a, b, jb.j0)
+		if err != nil {
+			return err
+		}
+		et, err := sw.crossingsOf(cost, exact, slabs, a, b, jb.j0)
+		if err != nil {
+			return err
+		}
+		rt.entries[jb.seg][jb.j0-stages[a].minJ] = et
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	rt.segmentSolves = len(jobs)
 	rt.index()
 	return rt, nil
 }
@@ -273,16 +287,15 @@ func segmentBounds(stages []stageInfo) []int {
 
 // crossingsOf extracts every finite exit state of a segment sweep over
 // stages [a, b] from entry j0 as a crossing table, in ascending (exit
-// velocity, bucket) order. cost and exact hold stage b; backs holds stage
-// a+i+1's backpointers at i*width. The table's arrays are sized exactly
-// (one counting pass first), so a build's resident tables carry no append
+// velocity, bucket) order. cost and exact hold stage b; slabs holds the
+// sweep's banded backpointers. The table's arrays are sized exactly (one
+// counting pass first), so a build's resident tables carry no append
 // slack.
-func crossingsOf(cost, exact []float64, backs []int32, g dpGrid, stages []stageInfo, a, b, j0 int) (entryTable, error) {
+func (sw *sweeper) crossingsOf(cost, exact []float64, slabs *solveSlabs, a, b, j0 int) (entryTable, error) {
 	m := b - a
 	stride := m + 1
-	kw := g.kMax + 1
-	width := (g.jMax + 1) * kw
-	lo, hi := stages[b].minJ*kw, (stages[b].maxJ+1)*kw
+	kw := sw.g.kMax + 1
+	lo, hi := sw.stages[b].minJ*kw, (sw.stages[b].maxJ+1)*kw
 	count := 0
 	for _, c := range cost[lo:hi] {
 		if c < inf {
@@ -306,7 +319,7 @@ func crossingsOf(cost, exact []float64, backs []int32, g dpGrid, stages []stageI
 		path[m] = uint16(j1)
 		jj, kk := j1, k
 		for i := m; i > 0; i-- {
-			bp := backs[(i-1)*width+jj*kw+kk]
+			bp := slabs.back(i-1, sw.stages[a+i], jj, kk, kw)
 			if bp < 0 {
 				return entryTable{}, fmt.Errorf("dp: broken segment backpointer at stage %d of [%d,%d] entry %d", i, a, b, j0)
 			}

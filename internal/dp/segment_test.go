@@ -3,8 +3,11 @@ package dp
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"hash/fnv"
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"evvo/internal/ev"
@@ -187,7 +190,9 @@ func TestStitchConfigMismatch(t *testing.T) {
 	}
 }
 
-// TestBuildRouteTablesCancel: build and stitch both honor cancellation.
+// TestBuildRouteTablesCancel: build and stitch both honor cancellation, and
+// a build cancelled mid-fan-out returns ctx's error with its workers
+// joined.
 func TestBuildRouteTablesCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -198,6 +203,84 @@ func TestBuildRouteTablesCancel(t *testing.T) {
 	rt := buildTestTables(t, base)
 	if _, err := rt.StitchCtx(ctx, base); err == nil {
 		t.Fatal("cancelled stitch returned a result")
+	}
+
+	// The production grid's 23 entry sweeps observe the context once per
+	// stage. Dying at check 400 lands mid-fan-out: some sweeps have
+	// finished and others are in flight on the workers.
+	cfg := stitchGrids()[0]
+	for _, workers := range []int{1, 3} {
+		cfg.Workers = workers
+		baseline := runtime.NumGoroutine()
+		cc := &countdownCtx{Context: context.Background()}
+		cc.left.Store(400)
+		if _, err := BuildRouteTables(cc, cfg); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if cc.left.Load() > 0 {
+			t.Fatalf("workers=%d: build finished before the context died", workers)
+		}
+		waitGoroutinesBack(t, baseline)
+	}
+}
+
+// countdownCtx reports context.Canceled from its left-th Err call on,
+// which cancels a solve at a deterministic stage check.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSweepBackpointerBand pins the banded backpointer slab on the
+// production grid: a sweep keeps only each destination stage's [minJ,
+// maxJ] band, Σ band·(kMax+1) cells, for the whole-route sweep OptimizeCtx
+// runs and for a segment sweep of the table build.
+func TestSweepBackpointerBand(t *testing.T) {
+	cfg := stitchGrids()[0]
+	cfg.applyDefaults()
+	g, err := buildGrid(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages, err := buildStages(cfg, g.n, g.ds, g.jMax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := newSweeper(&cfg, g, stages)
+	kw := g.kMax + 1
+	width := (g.jMax + 1) * kw
+	bounds := segmentBounds(stages)
+	cases := []struct {
+		name      string
+		a, b, j0  int
+		wantCells int
+	}{
+		{"optimize", 0, g.n, 0, 612_419},
+		{"segment-2", bounds[2], bounds[3], stages[bounds[2]].minJ, 106_978},
+	}
+	for _, tc := range cases {
+		slabs := grabSlabs(width, 1, g.jMax+1, kw)
+		if _, _, _, err := sw.sweep(context.Background(), nil, slabs, 1, tc.a, tc.b, tc.j0); err != nil {
+			t.Fatal(err)
+		}
+		sum := 0
+		for i := tc.a + 1; i <= tc.b; i++ {
+			sum += (stages[i].maxJ - stages[i].minJ + 1) * kw
+		}
+		if got := len(slabs.backs); got != sum || got != tc.wantCells {
+			t.Errorf("%s: backpointer slab holds %d cells; Σ band·(kMax+1) = %d, pinned %d",
+				tc.name, got, sum, tc.wantCells)
+		}
+		t.Logf("%s: %d cells, %.1f%% of the %d full-width cells", tc.name, len(slabs.backs),
+			100*float64(len(slabs.backs))/float64((tc.b-tc.a)*width), (tc.b-tc.a)*width)
+		slabPool.Put(slabs)
 	}
 }
 
@@ -249,6 +332,9 @@ func TestRouteTablesGolden(t *testing.T) {
 	}{
 		{"production/w1", Config{Route: road.US25(), Vehicle: ev.SparkEV(), Workers: 1}, 23, 10876, 0x23ffc557688582cd},
 		{"production/w2", Config{Route: road.US25(), Vehicle: ev.SparkEV(), Workers: 2}, 23, 10876, 0x23ffc557688582cd},
+		{"production/w3", Config{Route: road.US25(), Vehicle: ev.SparkEV(), Workers: 3}, 23, 10876, 0x23ffc557688582cd},
+		// More workers than the build has (segment, entry velocity) jobs.
+		{"production/w64", Config{Route: road.US25(), Vehicle: ev.SparkEV(), Workers: 64}, 23, 10876, 0x23ffc557688582cd},
 		{"coarse-dwell", dwell, 11, 1669, 0x43dbe6c360042b90},
 	}
 	defer SetAsmKernels(SetAsmKernels(true))
@@ -269,5 +355,27 @@ func TestRouteTablesGolden(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkBuildRouteTablesUS25 times a cold production-grid table build,
+// the first request's cost on a node that holds no tables: "w1" runs every
+// entry sweep on the calling goroutine, "default" fans them out over
+// GOMAXPROCS workers.
+func BenchmarkBuildRouteTablesUS25(b *testing.B) {
+	for _, tc := range []struct {
+		name    string
+		workers int
+	}{{"w1", 1}, {"default", 0}} {
+		cfg := stitchGrids()[0]
+		cfg.Workers = tc.workers
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				if _, err := BuildRouteTables(context.Background(), cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -55,34 +55,28 @@ func newAccelBands(cfg *Config, ds float64, jMax int) *accelBands {
 // on the stage grade, so they are cached per distinct grade value — routes
 // repeat grades across stages, so most stages hit the cache.
 //
-// Each table exists in two layouts: row-major [j*(jMax+1)+j2] (the build
-// order) and transposed [j2*(jMax+1)+j]. The gather relaxation
+// Every table is transposed, [j2*(jMax+1)+j]: the gather relaxation
 // (parallel.go) owns destination column j2 and scans its predecessor band
-// j = pLo[j2]..pHi[j2]; the transposed layout makes that scan a contiguous
-// structure-of-arrays read instead of a stride-(jMax+1) walk.
+// j = pLo[j2]..pHi[j2], so the transposed layout makes that scan a
+// contiguous structure-of-arrays read instead of a stride-(jMax+1) walk.
 type transitionCache struct {
 	veh     ev.Params
-	dv, ds  float64
+	dv      float64
 	jMax    int
 	bands   *accelBands
-	dTau    []float64 // [(jMax+1)*(jMax+1)]; filled for reachable pairs
-	dTauT   []float64 // transposed: [j2*(jMax+1)+j]
+	dTauT   []float64 // filled for reachable pairs
 	byGrade map[float64]*gradeTable
 }
 
 // gradeTable is the grade-dependent slice of the transition table.
 type gradeTable struct {
-	ok   []bool    // transition inside the motor's power envelope
-	zeta []float64 // pack charge of the transition in Ah
-	// Transposed views for the gather relaxation, [j2*(jMax+1)+j].
-	okT   []bool
-	zetaT []float64
+	okT   []bool    // transition inside the motor's power envelope
+	zetaT []float64 // pack charge of the transition in Ah
 }
 
 func newTransitionCache(cfg *Config, ds float64, jMax int, bands *accelBands) *transitionCache {
 	c := &transitionCache{
-		veh: cfg.Vehicle, dv: cfg.DvMS, ds: ds, jMax: jMax, bands: bands,
-		dTau:    make([]float64, (jMax+1)*(jMax+1)),
+		veh: cfg.Vehicle, dv: cfg.DvMS, jMax: jMax, bands: bands,
 		dTauT:   make([]float64, (jMax+1)*(jMax+1)),
 		byGrade: make(map[float64]*gradeTable),
 	}
@@ -94,7 +88,6 @@ func newTransitionCache(cfg *Config, ds float64, jMax int, bands *accelBands) *t
 			if vAvg <= 0 {
 				continue // cannot cover Δs at zero average speed
 			}
-			c.dTau[j*(jMax+1)+j2] = ds / vAvg
 			c.dTauT[j2*(jMax+1)+j] = ds / vAvg
 		}
 	}
@@ -107,16 +100,14 @@ func (c *transitionCache) forGrade(grade float64) *gradeTable {
 		return g
 	}
 	g := &gradeTable{
-		ok:    make([]bool, (c.jMax+1)*(c.jMax+1)),
-		zeta:  make([]float64, (c.jMax+1)*(c.jMax+1)),
 		okT:   make([]bool, (c.jMax+1)*(c.jMax+1)),
 		zetaT: make([]float64, (c.jMax+1)*(c.jMax+1)),
 	}
 	for j := 0; j <= c.jMax; j++ {
 		v := float64(j) * c.dv
 		for j2 := max(0, c.bands.lo[j]); j2 <= min(c.jMax, c.bands.hi[j]); j2++ {
-			t := j*(c.jMax+1) + j2
-			dTau := c.dTau[t]
+			t := j2*(c.jMax+1) + j
+			dTau := c.dTauT[t]
 			if dTau == 0 {
 				continue // unreachable pair (zero average speed)
 			}
@@ -126,11 +117,8 @@ func (c *transitionCache) forGrade(grade float64) *gradeTable {
 			if !c.veh.WithinPowerLimit(vAvg, acc, grade) {
 				continue // beyond the motor's power envelope
 			}
-			g.ok[t] = true
-			g.zeta[t] = c.veh.Charge(vAvg, acc, grade, dTau)
-			tt := j2*(c.jMax+1) + j
-			g.okT[tt] = true
-			g.zetaT[tt] = g.zeta[t]
+			g.okT[t] = true
+			g.zetaT[t] = c.veh.Charge(vAvg, acc, grade, dTau)
 		}
 	}
 	c.byGrade[grade] = g
