@@ -9,12 +9,12 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"runtime"
 	"sort"
 	"time"
@@ -158,15 +158,9 @@ func dpColdBuildBench(ctx context.Context, iters int) (dpColdBuild, error) {
 	if err != nil {
 		return dpColdBuild{}, err
 	}
-	fanned, err := rt.Export().MarshalBinary()
-	if err != nil {
-		return dpColdBuild{}, err
-	}
-	one, err := serial.Export().MarshalBinary()
-	if err != nil {
-		return dpColdBuild{}, err
-	}
-	if !bytes.Equal(fanned, one) {
+	// The exports hold the flat table payloads, so this compares every
+	// crossing bit for bit.
+	if !reflect.DeepEqual(rt.Export(), serial.Export()) {
 		return dpColdBuild{}, fmt.Errorf("fanned-out and serial builds differ")
 	}
 	return dpColdBuild{

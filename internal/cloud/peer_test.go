@@ -3,8 +3,8 @@ package cloud
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
-	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -154,9 +154,9 @@ func TestClusterFetch404KeepsBreakerClosed(t *testing.T) {
 }
 
 // TestClusterTablesGetEncodesFirst: a table GET encodes its payload before
-// it commits a status, so an export that cannot be encoded is a 500 with a
-// JSON error rather than an empty 200 the peer would read as EOF, and a
-// good payload goes out with its Content-Length.
+// it commits a status, so a good payload goes out with its Content-Length
+// (and an encoding error would be a 500 with a JSON error rather than an
+// empty 200 the peer would read as EOF).
 func TestClusterTablesGetEncodesFirst(t *testing.T) {
 	s, err := NewServer(ServerConfig{DPTemplate: coarseDP(), SegmentTables: true})
 	if err != nil {
@@ -182,21 +182,6 @@ func TestClusterTablesGetEncodesFirst(t *testing.T) {
 	if _, err := decodeTables(rec.Body, cfg); err != nil {
 		t.Fatalf("served payload does not decode: %v", err)
 	}
-
-	// Import does not bound the solve count it carries, so these tables
-	// export a count wider than the payload's int32 field.
-	w := rt.Export()
-	w.SegmentSolves = math.MaxInt32 + 1
-	bad, err := dp.ImportRouteTables(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.segTables["us25"] = bad
-	rec = get()
-	var body map[string]string
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil || body["error"] == "" {
-		t.Fatalf("unencodable export: HTTP %d, body %q", rec.Code, rec.Body.String())
-	}
 }
 
 // rawWire gob-encodes arbitrary bytes the way a dp.TablesWire encodes its
@@ -207,9 +192,10 @@ func (r rawWire) MarshalBinary() ([]byte, error) { return r, nil }
 
 // FuzzDecodeTables: decodeTables is the only decoder for a payload a node
 // accepts from a peer, so any byte string must yield either an error or
-// tables that stitch without panicking. Seeds: a coarse-grid export, the
-// same export damaged the ways dp's import-corruption suite damages it,
-// truncations, and the flat payload damaged inside its gob envelope.
+// tables that stitch without panicking. Seeds: a coarse-grid export,
+// truncations, and the flat payload damaged inside its gob envelope, first
+// where the import's framing checks look, then one field of each kind
+// (dp's FuzzTablesWire carries the same damage as column mutations).
 func FuzzDecodeTables(f *testing.F) {
 	s, err := NewServer(ServerConfig{DPTemplate: coarseDP(), SegmentTables: true})
 	if err != nil {
@@ -220,52 +206,29 @@ func FuzzDecodeTables(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	encode := func(w *dp.TablesWire) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(rt.Export()); err != nil {
+		f.Fatal(err)
 	}
-	valid := encode(rt.Export())
+	valid := buf.Bytes()
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte{})
-	for _, mutate := range []func(w *dp.TablesWire){
-		func(w *dp.TablesWire) { w.Fingerprint++ },
-		func(w *dp.TablesWire) { w.Specs = w.Specs[:1]; w.Entries = w.Entries[:1] },
-		func(w *dp.TablesWire) { w.Entries = w.Entries[:1] },
-		func(w *dp.TablesWire) { w.Entries[0][0].EntryJ = 10_000 },
-		func(w *dp.TablesWire) {
-			w.Entries[1][0].EntryJ, w.Entries[1][1].EntryJ = w.Entries[1][1].EntryJ, w.Entries[1][0].EntryJ
-		},
-		func(w *dp.TablesWire) { w.Entries[0][0].Crossings[0].ExitJ = -5 },
-		func(w *dp.TablesWire) { cr := &w.Entries[0][0].Crossings[0]; cr.Path = cr.Path[:1] },
-		func(w *dp.TablesWire) { w.Entries[0][0].Crossings[0].DurSec = -1 },
-		func(w *dp.TablesWire) { w.Entries[0][0].Crossings[0].DurSec = math.Inf(1) },
-		func(w *dp.TablesWire) { w.Entries[0][0].Crossings[0].CostAh = math.Inf(-1) },
-		func(w *dp.TablesWire) { w.Entries[0][0].Crossings[0].CostAh = math.NaN() },
-		func(w *dp.TablesWire) { w.Entries[0][0].Crossings[0].Path[1] = 60000 },
-		func(w *dp.TablesWire) { w.Entries[0][0].Crossings[0].Path[0]++ },
-		func(w *dp.TablesWire) { cr := &w.Entries[0][0].Crossings[0]; cr.Path[len(cr.Path)-1]++ },
-		func(w *dp.TablesWire) {
-			ew := &w.Entries[0][0]
-			for n := len(ew.Crossings); n > 0; n-- {
-				ew.Crossings = append(ew.Crossings, ew.Crossings[0])
-			}
-		},
-		func(w *dp.TablesWire) { w.Specs[0].EndStage++ },
-	} {
-		w := rt.Export()
-		mutate(w)
-		f.Add(encode(w))
-	}
-	// Byte-level seeds: the flat payload inside the gob envelope, damaged
-	// where the codec's framing checks look.
 	flat, err := rt.Export().MarshalBinary()
 	if err != nil {
 		f.Fatal(err)
 	}
+	// Offsets into the layout (DESIGN.md §13): the first entry set starts
+	// past the 26-byte header and every spec; its first entry table's
+	// columns (exits, durations, costs, path lengths, then the path slab)
+	// start 12 bytes in.
+	le := binary.LittleEndian
+	set := 26
+	for range le.Uint32(flat[18:]) {
+		set += 28 + int(le.Uint32(flat[set+24:]))
+	}
+	n, cols := int(le.Uint32(flat[set+8:])), set+12
+	bump := func(at int) func(b []byte) []byte { return func(b []byte) []byte { b[at]++; return b } }
 	for _, damage := range []func(b []byte) []byte{
 		func(b []byte) []byte { return b[:len(b)/2] },
 		func(b []byte) []byte { return append(b, 0) },
@@ -273,6 +236,23 @@ func FuzzDecodeTables(f *testing.F) {
 		func(b []byte) []byte { b[4]++; return b },
 		func(b []byte) []byte { b[5] = 2; return b },
 		func(b []byte) []byte { b[21] = 0x7f; return b }, // a spec count near 2³¹
+		bump(6),  // fingerprint
+		bump(14), // segment solves
+		bump(22), // entry-set count
+		bump(26), // spec 0 start stage
+		bump(30), // spec 0 end stage
+		func(b []byte) []byte { b[34+7] ^= 0x80; return b }, // spec 0 starts at -0 m
+		bump(42),      // spec 0 end m
+		bump(50),      // spec 0 name length
+		bump(54),      // spec 0 name
+		bump(set),     // entry count
+		bump(set + 4), // entry velocity
+		bump(set + 8), // crossing count
+		bump(cols),    // exit velocity
+		func(b []byte) []byte { b[cols+4*n+7] |= 0x80; return b },                       // negative duration
+		func(b []byte) []byte { b[cols+12*n+6], b[cols+12*n+7] = 0xff, 0x7f; return b }, // NaN cost
+		bump(cols + 20*n), // path length
+		bump(cols + 24*n), // path index
 	} {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(rawWire(damage(bytes.Clone(flat)))); err != nil {

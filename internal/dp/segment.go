@@ -83,9 +83,9 @@ type RouteTables struct {
 	specs  []SegmentSpec
 	stages []stageInfo
 	grid   dpGrid
-	// entries[s] lists the entry tables of segment s in ascending entryJ.
-	entries       [][]entryTable
-	segmentSolves int
+	// entries[s] lists the entry tables of segment s, one per entry
+	// velocity of its start stage's band, in ascending entryJ.
+	entries [][]entryTable
 
 	// Stitch geometry, derived from the filled tables by index: boundary
 	// s's banded backpointer cells start at backOff[s] (len(specs)+2
@@ -133,8 +133,15 @@ func (rt *RouteTables) Segments() []SegmentSpec {
 }
 
 // SegmentSolves reports how many per-(segment, entry-velocity) DP solves
-// the build ran — the denominator of the fleet tier's reuse factor.
-func (rt *RouteTables) SegmentSolves() int { return rt.segmentSolves }
+// a build of these tables runs, one per entry table: the denominator of
+// the fleet tier's reuse factor.
+func (rt *RouteTables) SegmentSolves() int {
+	total := 0
+	for _, ets := range rt.entries {
+		total += len(ets)
+	}
+	return total
+}
 
 // Crossings reports the total crossing count across all tables (a size
 // diagnostic for cache accounting).
@@ -224,22 +231,13 @@ func BuildRouteTables(ctx context.Context, cfg Config) (*RouteTables, error) {
 		return nil, err
 	}
 
-	rt := &RouteTables{cfg: cfg, key: gridKeyOf(&cfg), stages: stages, grid: g}
+	rt := &RouteTables{cfg: cfg, key: gridKeyOf(&cfg), stages: stages, grid: g, specs: segmentSpecs(stages)}
 	type job struct{ seg, j0 int }
 	var jobs []job
-	bounds := segmentBounds(stages)
-	for si := 0; si < len(bounds)-1; si++ {
-		a, b := bounds[si], bounds[si+1]
-		spec := SegmentSpec{
-			StartStage: a, EndStage: b,
-			StartM: stages[a].posM, EndM: stages[b].posM,
-		}
-		if sig := stages[b].signal; sig != nil {
-			spec.BoundaryName = sig.Name
-		}
-		rt.specs = append(rt.specs, spec)
-		rt.entries = append(rt.entries, make([]entryTable, stages[a].maxJ-stages[a].minJ+1))
-		for j0 := stages[a].minJ; j0 <= stages[a].maxJ; j0++ {
+	for si, spec := range rt.specs {
+		entry := stages[spec.StartStage]
+		rt.entries = append(rt.entries, make([]entryTable, entry.maxJ-entry.minJ+1))
+		for j0 := entry.minJ; j0 <= entry.maxJ; j0++ {
 			jobs = append(jobs, job{si, j0})
 		}
 	}
@@ -267,22 +265,31 @@ func BuildRouteTables(ctx context.Context, cfg Config) (*RouteTables, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt.segmentSolves = len(jobs)
 	rt.index()
 	return rt, nil
 }
 
-// segmentBounds lists the boundary stages of the segment split: source,
-// every signal stage, destination. Deriving the split from the stage array
-// keeps it consistent with the solver's Δs snapping.
-func segmentBounds(stages []stageInfo) []int {
+// segmentSpecs splits the stage array at its signals: one spec per
+// segment, its boundaries running source, every signal stage, destination.
+// Deriving the split from the stage array keeps it consistent with the
+// solver's Δs snapping; a build and an import derive the same specs.
+func segmentSpecs(stages []stageInfo) []SegmentSpec {
 	bounds := []int{0}
 	for i, st := range stages {
 		if st.signal != nil {
 			bounds = append(bounds, i)
 		}
 	}
-	return append(bounds, len(stages)-1)
+	bounds = append(bounds, len(stages)-1)
+	specs := make([]SegmentSpec, len(bounds)-1)
+	for s := range specs {
+		a, b := bounds[s], bounds[s+1]
+		specs[s] = SegmentSpec{StartStage: a, EndStage: b, StartM: stages[a].posM, EndM: stages[b].posM}
+		if sig := stages[b].signal; sig != nil {
+			specs[s].BoundaryName = sig.Name
+		}
+	}
+	return specs
 }
 
 // crossingsOf extracts every finite exit state of a segment sweep over

@@ -256,14 +256,14 @@ func TestSweepBackpointerBand(t *testing.T) {
 	sw := newSweeper(&cfg, g, stages)
 	kw := g.kMax + 1
 	width := (g.jMax + 1) * kw
-	bounds := segmentBounds(stages)
+	seg := segmentSpecs(stages)[2]
 	cases := []struct {
 		name      string
 		a, b, j0  int
 		wantCells int
 	}{
 		{"optimize", 0, g.n, 0, 612_419},
-		{"segment-2", bounds[2], bounds[3], stages[bounds[2]].minJ, 106_978},
+		{"segment-2", seg.StartStage, seg.EndStage, stages[seg.StartStage].minJ, 106_978},
 	}
 	for _, tc := range cases {
 		slabs := grabSlabs(width, 1, g.jMax+1, kw)
@@ -287,7 +287,7 @@ func TestSweepBackpointerBand(t *testing.T) {
 // tablesHash digests everything a build hands to its consumers: the
 // segment specs, the solve count and every crossing (entry and exit
 // velocity, duration and cost bits, stage path), in table order.
-func tablesHash(w *TablesWire) uint64 {
+func tablesHash(rt *RouteTables) uint64 {
 	h := fnv.New64a()
 	put := func(vs ...uint64) {
 		var b [8]byte
@@ -296,19 +296,21 @@ func tablesHash(w *TablesWire) uint64 {
 			_, _ = h.Write(b[:])
 		}
 	}
-	put(uint64(len(w.Specs)), uint64(w.SegmentSolves))
-	for _, sp := range w.Specs {
+	put(uint64(len(rt.specs)), uint64(rt.SegmentSolves()))
+	for _, sp := range rt.specs {
 		put(uint64(sp.StartStage), uint64(sp.EndStage), math.Float64bits(sp.StartM), math.Float64bits(sp.EndM))
 		_, _ = h.Write([]byte(sp.BoundaryName))
 	}
-	for _, ets := range w.Entries {
+	for s, ets := range rt.entries {
+		stride := rt.specs[s].EndStage - rt.specs[s].StartStage + 1
 		put(uint64(len(ets)))
-		for _, ew := range ets {
-			put(uint64(ew.EntryJ), uint64(len(ew.Crossings)))
-			for _, cw := range ew.Crossings {
-				put(uint64(cw.ExitJ), math.Float64bits(cw.DurSec), math.Float64bits(cw.CostAh), uint64(len(cw.Path)))
-				for _, j := range cw.Path {
-					put(uint64(j))
+		for i := range ets {
+			et := &ets[i]
+			put(uint64(et.entryJ), uint64(len(et.exitJ)))
+			for c, j := range et.exitJ {
+				put(uint64(j), math.Float64bits(et.durSec[c]), math.Float64bits(et.costAh[c]), uint64(stride))
+				for _, v := range et.path(c, stride) {
+					put(uint64(v))
 				}
 			}
 		}
@@ -348,7 +350,7 @@ func TestRouteTablesGolden(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				SetAsmKernels(asm)
 				rt := buildTestTables(t, tc.cfg)
-				got := tablesHash(rt.Export())
+				got := tablesHash(rt)
 				if rt.SegmentSolves() != tc.solves || rt.Crossings() != tc.crossings || got != tc.hash {
 					t.Fatalf("tables: %d solves, %d crossings, hash %#016x; want %d, %d, %#016x",
 						rt.SegmentSolves(), rt.Crossings(), got, tc.solves, tc.crossings, tc.hash)

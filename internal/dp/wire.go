@@ -13,6 +13,7 @@
 package dp
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -20,78 +21,127 @@ import (
 	"math"
 )
 
-// TablesWire is the serializable form of RouteTables. Its binary form is
-// the flat layout of MarshalBinary, which encoding/gob picks up through
-// the encoding.BinaryMarshaler hook, so a gob stream of a TablesWire
-// carries one byte string rather than a reflective walk over every
-// crossing.
-type TablesWire struct {
-	// Fingerprint identifies the grid the tables were built on: the
-	// grid-defining config fields plus the discretized route the solver
-	// actually consumed (per-stage bands, signals, dwells, grades). Import
-	// recomputes it locally and rejects mismatches.
-	Fingerprint uint64
-	Specs       []SegmentSpec
-	Entries     [][]EntryWire
-	// SegmentSolves is the build cost the owner paid, carried along so an
-	// importing node's reuse accounting can report it.
-	SegmentSolves int
+// TablesWire is the serialized form of RouteTables: the flat layout
+// below, as bytes. Export writes it and ImportRouteTables is its one
+// reader. Its binary form is that layout, which encoding/gob picks up
+// through the encoding.BinaryMarshaler hook, so a gob stream of a
+// TablesWire carries one byte string.
+type TablesWire struct{ flat []byte }
+
+// MarshalBinary returns the flat layout. It never fails.
+func (w *TablesWire) MarshalBinary() ([]byte, error) { return w.flat, nil }
+
+// UnmarshalBinary keeps a copy of data (gob reuses its buffer once the
+// hook returns). It checks nothing: ImportRouteTables reads and validates
+// the layout in one pass.
+func (w *TablesWire) UnmarshalBinary(data []byte) error {
+	w.flat = bytes.Clone(data)
+	return nil
 }
 
-// EntryWire is the wire form of one entry table.
-type EntryWire struct {
-	EntryJ    int
-	Crossings []CrossingWire
-}
-
-// CrossingWire is the wire form of one crossing of an entry table.
-type CrossingWire struct {
-	ExitJ  int
-	DurSec float64
-	CostAh float64
-	Path   []uint16
-}
-
-// Export converts the tables to their wire form. The crossing paths are
-// copied (one copy per entry table, sub-sliced per crossing), so the wire
-// value stays valid however long the caller holds it.
+// Export writes the tables in the flat layout, straight from the specs
+// and the entry-table columns. Every field comes from a build or a checked
+// import, so it cannot fail.
 func (rt *RouteTables) Export() *TablesWire {
-	w := &TablesWire{
-		Fingerprint:   fingerprintTables(&rt.cfg, rt.grid, rt.stages),
-		Specs:         rt.Segments(),
-		SegmentSolves: rt.segmentSolves,
+	size, nPath, width := wireHeaderLen, 0, 1
+	for _, sp := range rt.specs {
+		size += wireSpecMin + len(sp.BoundaryName)
 	}
-	w.Entries = make([][]EntryWire, len(rt.entries))
-	for s, ets := range rt.entries {
-		stride := rt.specs[s].EndStage - rt.specs[s].StartStage + 1
-		w.Entries[s] = make([]EntryWire, len(ets))
-		for e := range ets {
-			et := &ets[e]
-			paths := append([]uint16(nil), et.paths...)
-			ew := EntryWire{EntryJ: et.entryJ, Crossings: make([]CrossingWire, len(et.exitJ))}
-			for c := range ew.Crossings {
-				ew.Crossings[c] = CrossingWire{
-					ExitJ: int(et.exitJ[c]), DurSec: et.durSec[c], CostAh: et.costAh[c],
-					Path: paths[c*stride : (c+1)*stride : (c+1)*stride],
+	for _, ets := range rt.entries {
+		size += wireEntrySetMin
+		for i := range ets {
+			et := &ets[i]
+			size += wireEntryMin + len(et.exitJ)*wireCrossingMin
+			nPath += len(et.paths)
+			for _, j := range et.paths {
+				if j > math.MaxUint8 {
+					width = 2
 				}
 			}
-			w.Entries[s][e] = ew
 		}
 	}
-	return w
+	return &TablesWire{flat: rt.appendFlat(make([]byte, 0, size+nPath*width), width)}
 }
 
-// ImportRouteTables reconstructs servable RouteTables from their wire form
-// under the local cfg (the receiver's registered route and DP template).
-// The grid and stages are rebuilt locally; the wire supplies only the
-// solved crossings. The import is rejected when the fingerprints disagree
-// (different route geometry, vehicle, or grid) or when the payload is
-// structurally inconsistent with the local grid — a truncated or corrupted
-// replica must never become a serving table.
+// appendFlat appends the flat layout with the given path width to b.
+// Export picks the narrowest width that holds every path index.
+func (rt *RouteTables) appendFlat(b []byte, width int) []byte {
+	le := binary.LittleEndian
+	b = append(b, wireMagic...)
+	b = append(b, wireVersion, byte(width))
+	b = le.AppendUint64(b, fingerprintTables(&rt.cfg, rt.grid, rt.stages))
+	b = le.AppendUint32(b, uint32(rt.SegmentSolves()))
+	b = le.AppendUint32(b, uint32(len(rt.specs)))
+	b = le.AppendUint32(b, uint32(len(rt.entries)))
+	for _, sp := range rt.specs {
+		b = le.AppendUint32(b, uint32(sp.StartStage))
+		b = le.AppendUint32(b, uint32(sp.EndStage))
+		b = le.AppendUint64(b, math.Float64bits(sp.StartM))
+		b = le.AppendUint64(b, math.Float64bits(sp.EndM))
+		b = le.AppendUint32(b, uint32(len(sp.BoundaryName)))
+		b = append(b, sp.BoundaryName...)
+	}
+	for s, ets := range rt.entries {
+		stride := rt.specs[s].EndStage - rt.specs[s].StartStage + 1
+		b = le.AppendUint32(b, uint32(len(ets)))
+		for i := range ets {
+			et := &ets[i]
+			b = le.AppendUint32(b, uint32(et.entryJ))
+			b = le.AppendUint32(b, uint32(len(et.exitJ)))
+			for _, j := range et.exitJ {
+				b = le.AppendUint32(b, uint32(j))
+			}
+			for _, x := range et.durSec {
+				b = le.AppendUint64(b, math.Float64bits(x))
+			}
+			for _, x := range et.costAh {
+				b = le.AppendUint64(b, math.Float64bits(x))
+			}
+			for range et.exitJ {
+				b = le.AppendUint32(b, uint32(stride))
+			}
+			for _, j := range et.paths {
+				if width == 1 {
+					b = append(b, byte(j))
+				} else {
+					b = le.AppendUint16(b, j)
+				}
+			}
+		}
+	}
+	return b
+}
+
+// ImportRouteTables reconstructs servable RouteTables from their flat
+// layout under the local cfg (the receiver's registered route and DP
+// template). The grid and stages are rebuilt locally; the wire supplies
+// only the solved crossings, decoded straight into entry-table columns.
+// It is the layout's one reader and checks, in one pass, both the framing
+// (magic, version, path width, every count against the bytes left before
+// it allocates, no trailing bytes, the narrowest path width) and the
+// meaning: the fingerprint, the segment split a local build would make,
+// one entry table per entry velocity in band order, the solve count,
+// in-band exits and paths, and finite durations and costs. A truncated,
+// corrupted or foreign replica never becomes a serving table.
 func ImportRouteTables(cfg Config, w *TablesWire) (*RouteTables, error) {
 	if w == nil {
 		return nil, fmt.Errorf("dp: nil table wire")
 	}
+	data := w.flat
+	if len(data) < len(wireMagic) || string(data[:len(wireMagic)]) != wireMagic {
+		return nil, errors.New("dp: not a table payload (bad magic)")
+	}
+	if len(data) < wireHeaderLen {
+		return nil, errWireTruncated
+	}
+	if v := data[4]; v != wireVersion {
+		return nil, fmt.Errorf("dp: table payload version %d, this node reads %d", v, wireVersion)
+	}
+	width := int(data[5])
+	if width != 1 && width != 2 {
+		return nil, fmt.Errorf("dp: table payload path width %d, want 1 or 2", width)
+	}
+
 	cfg.applyDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -104,91 +154,137 @@ func ImportRouteTables(cfg Config, w *TablesWire) (*RouteTables, error) {
 	if err != nil {
 		return nil, err
 	}
-	if local := fingerprintTables(&cfg, g, stages); local != w.Fingerprint {
+	d := wireDecoder{b: data[6:]}
+	fp, solves := d.u64(), d.i32()
+	nSpecs, nSets := d.count(wireSpecMin), d.count(wireEntrySetMin)
+	if d.err != nil {
+		return nil, d.err
+	}
+	if local := fingerprintTables(&cfg, g, stages); local != fp {
 		return nil, fmt.Errorf("dp: imported tables were built on a different grid (fingerprint %016x, local %016x)",
-			w.Fingerprint, local)
+			fp, local)
 	}
 
-	// The fingerprint pins the physics; the checks below pin the payload's
-	// structure against the locally rebuilt segmentation.
-	bounds := segmentBounds(stages)
-	if len(w.Specs) != len(bounds)-1 || len(w.Entries) != len(w.Specs) {
+	// The fingerprint pins the physics; the checks below pin the payload
+	// to the segmentation and entry bands a local build would produce.
+	rt := &RouteTables{cfg: cfg, key: gridKeyOf(&cfg), stages: stages, grid: g, specs: segmentSpecs(stages)}
+	if nSpecs != len(rt.specs) || nSets != nSpecs {
 		return nil, fmt.Errorf("dp: imported tables carry %d segments (%d entry sets), local route splits into %d",
-			len(w.Specs), len(w.Entries), len(bounds)-1)
+			nSpecs, nSets, len(rt.specs))
 	}
-	rt := &RouteTables{cfg: cfg, key: gridKeyOf(&cfg), stages: stages, grid: g,
-		segmentSolves: w.SegmentSolves}
-	for s := range w.Specs {
-		a, b := bounds[s], bounds[s+1]
-		spec := w.Specs[s]
-		if spec.StartStage != a || spec.EndStage != b {
-			return nil, fmt.Errorf("dp: imported segment %d spans stages [%d,%d], local split says [%d,%d]",
-				s, spec.StartStage, spec.EndStage, a, b)
+	for s, want := range rt.specs {
+		got := SegmentSpec{StartStage: d.i32(), EndStage: d.i32(), StartM: d.f64(), EndM: d.f64()}
+		got.BoundaryName = string(d.bytes(d.count(1)))
+		if d.err != nil {
+			return nil, d.err
 		}
-		ets := make([]entryTable, 0, len(w.Entries[s]))
-		prevJ := -1
-		for _, ew := range w.Entries[s] {
-			if ew.EntryJ <= prevJ || ew.EntryJ < stages[a].minJ || ew.EntryJ > stages[a].maxJ {
-				return nil, fmt.Errorf("dp: imported segment %d entry velocity %d outside band [%d,%d] or out of order",
-					s, ew.EntryJ, stages[a].minJ, stages[a].maxJ)
-			}
-			prevJ = ew.EntryJ
-			// The entry's flat arrays are sized from the payload, so bound
-			// the count before allocating: a sweep yields at most one
-			// crossing per exit-band cell.
-			if limit := (stages[b].maxJ - stages[b].minJ + 1) * (g.kMax + 1); len(ew.Crossings) > limit {
-				return nil, fmt.Errorf("dp: imported segment %d entry %d carries %d crossings, its exit band holds %d",
-					s, ew.EntryJ, len(ew.Crossings), limit)
-			}
-			n, stride := len(ew.Crossings), b-a+1
-			et := entryTable{
-				entryJ: ew.EntryJ,
-				exitJ:  make([]int32, n),
-				durSec: make([]float64, n),
-				costAh: make([]float64, n),
-				paths:  make([]uint16, n*stride),
-			}
-			for c, cw := range ew.Crossings {
-				if cw.ExitJ < stages[b].minJ || cw.ExitJ > stages[b].maxJ {
-					return nil, fmt.Errorf("dp: imported crossing exits at velocity %d outside band [%d,%d]",
-						cw.ExitJ, stages[b].minJ, stages[b].maxJ)
-				}
-				if err := checkPath(cw.Path, stages[a:b+1], ew.EntryJ, cw.ExitJ); err != nil {
-					return nil, err
-				}
-				if !finite(cw.DurSec) || cw.DurSec < 0 || !finite(cw.CostAh) || cw.CostAh >= inf {
-					return nil, fmt.Errorf("dp: imported crossing has non-finite duration/cost (%g s, %g Ah)",
-						cw.DurSec, cw.CostAh)
-				}
-				et.exitJ[c], et.durSec[c], et.costAh[c] = int32(cw.ExitJ), cw.DurSec, cw.CostAh
-				copy(et.path(c, stride), cw.Path)
-			}
-			ets = append(ets, et)
+		if got.StartStage != want.StartStage || got.EndStage != want.EndStage || got.BoundaryName != want.BoundaryName ||
+			math.Float64bits(got.StartM) != math.Float64bits(want.StartM) || math.Float64bits(got.EndM) != math.Float64bits(want.EndM) {
+			return nil, fmt.Errorf("dp: imported segment %d is %+v, local split says %+v", s, got, want)
 		}
-		rt.specs = append(rt.specs, spec)
-		rt.entries = append(rt.entries, ets)
+	}
+	rt.entries = make([][]entryTable, len(rt.specs))
+	for s, sp := range rt.specs {
+		seg := stages[sp.StartStage : sp.EndStage+1]
+		n := d.count(wireEntryMin)
+		if d.err != nil {
+			return nil, d.err
+		}
+		if n != seg[0].maxJ-seg[0].minJ+1 {
+			return nil, fmt.Errorf("dp: imported segment %d carries %d entry tables, its entry band [%d,%d] needs one per velocity",
+				s, n, seg[0].minJ, seg[0].maxJ)
+		}
+		rt.entries[s] = make([]entryTable, n)
+		for e := range rt.entries[s] {
+			if err := d.table(&rt.entries[s][e], seg, seg[0].minJ+e, width, g.kMax+1); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if len(d.b) != 0 {
+		return nil, fmt.Errorf("dp: table payload has %d trailing bytes", len(d.b))
+	}
+	// A build runs one solve per entry table, so the count a peer reports
+	// is checked, never trusted: it feeds the importer's reuse accounting.
+	if solves != rt.SegmentSolves() {
+		return nil, fmt.Errorf("dp: imported tables claim %d segment solves for %d entry tables", solves, rt.SegmentSolves())
+	}
+	// Export picks the narrowest width, so a wide payload whose paths all
+	// fit one byte is not one it wrote.
+	if width == 2 && d.maxPath <= math.MaxUint8 {
+		return nil, errors.New("dp: table payload uses 2-byte paths that fit in 1")
 	}
 	rt.index()
 	return rt, nil
 }
 
-// checkPath verifies that an imported crossing's stage path is one the
-// segment sweep could have produced: one velocity index per segment stage,
-// starting at the entry velocity, ending at the exit velocity, and inside
-// every stage's admissible band. A path outside the bands would stitch a
-// plan the physics never priced.
-func checkPath(path []uint16, seg []stageInfo, entryJ, exitJ int) error {
-	if len(path) != len(seg) {
-		return fmt.Errorf("dp: imported crossing path has %d stages, segment spans %d", len(path), len(seg))
+// table decodes the entry table of velocity entryJ over the segment
+// stages seg into et, checking every column as it reads it. Each crossing
+// path must be one the segment sweep could have produced: one velocity
+// index per segment stage, starting at the entry velocity, ending at the
+// exit velocity, and inside every stage's admissible band. A path outside
+// the bands would stitch a plan the physics never priced.
+func (d *wireDecoder) table(et *entryTable, seg []stageInfo, entryJ, width, kw int) error {
+	if j := d.i32(); d.err == nil && j != entryJ {
+		return fmt.Errorf("dp: imported entry table enters at velocity %d, the band's next velocity is %d", j, entryJ)
 	}
-	if int(path[0]) != entryJ || int(path[len(path)-1]) != exitJ {
-		return fmt.Errorf("dp: imported crossing path runs %d→%d, crossing says %d→%d",
-			path[0], path[len(path)-1], entryJ, exitJ)
+	n := d.count(wireCrossingMin)
+	exits, durs, costs, lens := d.bytes(4*n), d.bytes(8*n), d.bytes(8*n), d.bytes(4*n)
+	if d.err != nil {
+		return d.err
 	}
-	for i, j := range path {
-		if int(j) < seg[i].minJ || int(j) > seg[i].maxJ {
-			return fmt.Errorf("dp: imported crossing path stage %d velocity %d outside band [%d,%d]",
-				i, j, seg[i].minJ, seg[i].maxJ)
+	// The columns are sized from the payload, so bound the count before
+	// allocating: a sweep yields at most one crossing per exit-band cell.
+	exit, stride := seg[len(seg)-1], len(seg)
+	if limit := (exit.maxJ - exit.minJ + 1) * kw; n > limit {
+		return fmt.Errorf("dp: imported entry %d carries %d crossings, its exit band holds %d", entryJ, n, limit)
+	}
+	le := binary.LittleEndian
+	for c := range n {
+		if l := int(le.Uint32(lens[4*c:])); l != stride {
+			return fmt.Errorf("dp: imported crossing path has %d stages, segment spans %d", l, stride)
+		}
+	}
+	slab := d.bytes(n * stride * width)
+	if d.err != nil {
+		return d.err
+	}
+
+	*et = entryTable{
+		entryJ: entryJ,
+		exitJ:  make([]int32, n),
+		durSec: make([]float64, n),
+		costAh: make([]float64, n),
+		paths:  make([]uint16, n*stride),
+	}
+	for c := range n {
+		j := int(int32(le.Uint32(exits[4*c:])))
+		if j < exit.minJ || j > exit.maxJ {
+			return fmt.Errorf("dp: imported crossing exits at velocity %d outside band [%d,%d]", j, exit.minJ, exit.maxJ)
+		}
+		dur, cost := math.Float64frombits(le.Uint64(durs[8*c:])), math.Float64frombits(le.Uint64(costs[8*c:]))
+		if !finite(dur) || dur < 0 || !finite(cost) || cost >= inf {
+			return fmt.Errorf("dp: imported crossing has non-finite duration/cost (%g s, %g Ah)", dur, cost)
+		}
+		et.exitJ[c], et.durSec[c], et.costAh[c] = int32(j), dur, cost
+	}
+	for i := range et.paths {
+		if width == 1 {
+			et.paths[i] = uint16(slab[i])
+		} else {
+			et.paths[i] = le.Uint16(slab[2*i:])
+			d.maxPath = max(d.maxPath, et.paths[i])
+		}
+	}
+	for c := range n {
+		path := et.path(c, stride)
+		if int(path[0]) != entryJ || int(path[stride-1]) != int(et.exitJ[c]) {
+			return fmt.Errorf("dp: imported crossing path runs %d→%d, crossing says %d→%d", path[0], path[stride-1], entryJ, et.exitJ[c])
+		}
+		for i, j := range path {
+			if int(j) < seg[i].minJ || int(j) > seg[i].maxJ {
+				return fmt.Errorf("dp: imported crossing path stage %d velocity %d outside band [%d,%d]", i, j, seg[i].minJ, seg[i].maxJ)
+			}
 		}
 	}
 	return nil
@@ -225,8 +321,8 @@ func fingerprintTables(cfg *Config, g dpGrid, stages []stageInfo) uint64 {
 }
 
 // The flat table layout (DESIGN.md §13), all integers little-endian. It
-// mirrors the wire structs field by field, each entry table as parallel
-// arrays:
+// mirrors RouteTables field by field, each entry table as its parallel
+// columns:
 //
 //	header     magic "EVTW", version u8, path width u8, fingerprint u64,
 //	           segment solves i32, spec count u32, entry-set count u32
@@ -237,18 +333,12 @@ func fingerprintTables(cfg *Config, g dpGrid, stages []stageInfo) uint64 {
 //	           n cost f64, n path length u32, then the path slab: every
 //	           crossing's path back to back, one index per width bytes
 //
-// Floats travel as their IEEE-754 bits, so every value (NaN payloads and
-// -0 included) round-trips bit for bit. The path width is 1 when every
-// path index is below 256 and 2 otherwise: paths are most of the payload,
-// and on the production US-25 grid every index fits one byte.
-//
-// The codec only frames: every TablesWire whose ints fit their fields
-// round-trips exactly, so a structurally broken table set (ragged paths,
-// mismatched segment counts, indices outside their bands) encodes and
-// decodes unchanged and is refused by ImportRouteTables, the one
-// validator. A layout change bumps wireVersion; nodes on different
-// versions cannot read each other's payloads, so a fetch fails and the
-// requester builds locally.
+// Floats travel as their IEEE-754 bits, so every value round-trips bit
+// for bit. The path width is 1 when every path index is below 256 and 2
+// otherwise: paths are most of the payload, and on the production US-25
+// grid every index fits one byte. A layout change bumps wireVersion;
+// nodes on different versions cannot read each other's payloads, so a
+// fetch fails and the requester builds locally.
 const (
 	wireMagic   = "EVTW"
 	wireVersion = 1
@@ -256,7 +346,7 @@ const (
 	// fingerprint, segment solves and the two counts.
 	wireHeaderLen = 4 + 1 + 1 + 8 + 4 + 4 + 4
 	// The fewest bytes one spec, entry set, entry table or crossing can
-	// occupy. UnmarshalBinary checks every count against the bytes left
+	// occupy. ImportRouteTables checks every count against the bytes left
 	// times these before it allocates, so a forged count costs an error,
 	// not memory.
 	wireSpecMin     = 4 + 4 + 8 + 8 + 4
@@ -265,209 +355,7 @@ const (
 	wireCrossingMin = 4 + 8 + 8 + 4
 )
 
-// MarshalBinary encodes the tables in the flat layout. It fails only on a
-// value that does not fit its field: an int outside int32 or a count
-// outside uint32.
-func (w *TablesWire) MarshalBinary() ([]byte, error) {
-	size, nPath, width := wireHeaderLen, 0, 1
-	for _, sp := range w.Specs {
-		size += wireSpecMin + len(sp.BoundaryName)
-	}
-	for _, ets := range w.Entries {
-		size += wireEntrySetMin
-		for _, ew := range ets {
-			size += wireEntryMin + len(ew.Crossings)*wireCrossingMin
-			for _, cw := range ew.Crossings {
-				nPath += len(cw.Path)
-				for _, j := range cw.Path {
-					if j > math.MaxUint8 {
-						width = 2
-					}
-				}
-			}
-		}
-	}
-
-	e := wireEncoder{b: make([]byte, 0, size+nPath*width)}
-	e.b = append(e.b, wireMagic...)
-	e.b = append(e.b, wireVersion, byte(width))
-	e.b = binary.LittleEndian.AppendUint64(e.b, w.Fingerprint)
-	e.i32(w.SegmentSolves, "segment solves")
-	e.u32(len(w.Specs))
-	e.u32(len(w.Entries))
-	for _, sp := range w.Specs {
-		e.i32(sp.StartStage, "spec start stage")
-		e.i32(sp.EndStage, "spec end stage")
-		e.f64(sp.StartM)
-		e.f64(sp.EndM)
-		e.u32(len(sp.BoundaryName))
-		e.b = append(e.b, sp.BoundaryName...)
-	}
-	for _, ets := range w.Entries {
-		e.u32(len(ets))
-		for _, ew := range ets {
-			e.i32(ew.EntryJ, "entry velocity")
-			e.u32(len(ew.Crossings))
-			for _, cw := range ew.Crossings {
-				e.i32(cw.ExitJ, "exit velocity")
-			}
-			for _, cw := range ew.Crossings {
-				e.f64(cw.DurSec)
-			}
-			for _, cw := range ew.Crossings {
-				e.f64(cw.CostAh)
-			}
-			for _, cw := range ew.Crossings {
-				e.u32(len(cw.Path))
-			}
-			for _, cw := range ew.Crossings {
-				for _, j := range cw.Path {
-					if width == 1 {
-						e.b = append(e.b, byte(j))
-					} else {
-						e.b = binary.LittleEndian.AppendUint16(e.b, j)
-					}
-				}
-			}
-		}
-	}
-	if e.err != nil {
-		return nil, e.err
-	}
-	return e.b, nil
-}
-
-// wireEncoder appends fields to b, keeping the first range error.
-type wireEncoder struct {
-	b   []byte
-	err error
-}
-
-func (e *wireEncoder) i32(v int, field string) {
-	if (v < math.MinInt32 || v > math.MaxInt32) && e.err == nil {
-		e.err = fmt.Errorf("dp: table wire %s %d does not fit int32", field, v)
-	}
-	e.b = binary.LittleEndian.AppendUint32(e.b, uint32(int32(v)))
-}
-
-func (e *wireEncoder) u32(n int) {
-	if uint64(n) > math.MaxUint32 && e.err == nil {
-		e.err = fmt.Errorf("dp: table wire count %d does not fit uint32", n)
-	}
-	e.b = binary.LittleEndian.AppendUint32(e.b, uint32(n))
-}
-
-func (e *wireEncoder) f64(x float64) {
-	e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(x))
-}
-
 var errWireTruncated = errors.New("dp: table payload truncated")
-
-// UnmarshalBinary decodes the flat layout into w. It checks the framing
-// only — magic, version, the canonical path width, every count against
-// the bytes left, and no trailing bytes — and leaves the tables' meaning
-// to ImportRouteTables. It keeps no reference to data. On error w is left
-// unchanged.
-func (w *TablesWire) UnmarshalBinary(data []byte) error {
-	if len(data) < len(wireMagic) || string(data[:len(wireMagic)]) != wireMagic {
-		return errors.New("dp: not a table payload (bad magic)")
-	}
-	if len(data) < wireHeaderLen {
-		return errWireTruncated
-	}
-	if v := data[4]; v != wireVersion {
-		return fmt.Errorf("dp: table payload version %d, this node reads %d", v, wireVersion)
-	}
-	width := int(data[5])
-	if width != 1 && width != 2 {
-		return fmt.Errorf("dp: table payload path width %d, want 1 or 2", width)
-	}
-	d := wireDecoder{b: data[6:]}
-	out := TablesWire{Fingerprint: d.u64()}
-	out.SegmentSolves = d.i32()
-	nSpecs := d.count(wireSpecMin)
-	nSets := d.count(wireEntrySetMin)
-	if d.err != nil {
-		return d.err
-	}
-	out.Specs = make([]SegmentSpec, nSpecs)
-	for i := range out.Specs {
-		sp := &out.Specs[i]
-		sp.StartStage, sp.EndStage = d.i32(), d.i32()
-		sp.StartM, sp.EndM = d.f64(), d.f64()
-		sp.BoundaryName = string(d.bytes(d.count(1)))
-	}
-	if d.err != nil {
-		return d.err
-	}
-	out.Entries = make([][]EntryWire, nSets)
-	for s := range out.Entries {
-		ets := make([]EntryWire, d.count(wireEntryMin))
-		for e := range ets {
-			d.entry(&ets[e], width)
-		}
-		out.Entries[s] = ets
-	}
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("dp: table payload has %d trailing bytes", len(d.b))
-	}
-	// MarshalBinary picks the narrowest width, so a wide payload whose
-	// paths all fit one byte is not one it wrote.
-	if width == 2 && d.maxPath <= math.MaxUint8 {
-		return errors.New("dp: table payload uses 2-byte paths that fit in 1")
-	}
-	*w = out
-	return nil
-}
-
-// entry decodes one entry table into ew.
-func (d *wireDecoder) entry(ew *EntryWire, width int) {
-	ew.EntryJ = d.i32()
-	cws := make([]CrossingWire, d.count(wireCrossingMin))
-	ew.Crossings = cws
-	for c := range cws {
-		cws[c].ExitJ = d.i32()
-	}
-	for c := range cws {
-		cws[c].DurSec = d.f64()
-	}
-	for c := range cws {
-		cws[c].CostAh = d.f64()
-	}
-	lens := d.bytes(4 * len(cws))
-	if d.err != nil {
-		return
-	}
-	total := uint64(0)
-	for c := range cws {
-		total += uint64(binary.LittleEndian.Uint32(lens[4*c:]))
-	}
-	if total > uint64(len(d.b)/width) {
-		d.err = errWireTruncated
-		return
-	}
-	slab := d.bytes(int(total) * width)
-	paths := make([]uint16, total)
-	if width == 1 {
-		for i, b := range slab {
-			paths[i] = uint16(b)
-		}
-	} else {
-		for i := range paths {
-			paths[i] = binary.LittleEndian.Uint16(slab[2*i:])
-			d.maxPath = max(d.maxPath, paths[i])
-		}
-	}
-	off := 0
-	for c := range cws {
-		l := int(binary.LittleEndian.Uint32(lens[4*c:]))
-		cws[c].Path = paths[off : off+l : off+l]
-		off += l
-	}
-}
 
 // wireDecoder consumes fields from b. A read past the end sets err and
 // yields zeros (and counts of zero), so callers check err once per run of

@@ -11,6 +11,9 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+
+	"evvo/internal/ev"
+	"evvo/internal/road"
 )
 
 // TestWireRoundTripParity: Export → gob → Import under the same config must
@@ -35,6 +38,9 @@ func TestWireRoundTripParity(t *testing.T) {
 	if imp.SegmentSolves() != rt.SegmentSolves() || imp.Crossings() != rt.Crossings() {
 		t.Fatalf("imported tables carry %d solves / %d crossings, original %d / %d",
 			imp.SegmentSolves(), imp.Crossings(), rt.SegmentSolves(), rt.Crossings())
+	}
+	if !bytes.Equal(imp.Export().flat, w.flat) {
+		t.Fatal("imported tables re-export to different bytes")
 	}
 
 	want, err := rt.StitchCtx(context.Background(), cfg)
@@ -95,186 +101,143 @@ func TestWireFingerprintGolden(t *testing.T) {
 	}
 }
 
-// TestWireImportRejectsCorruption: structurally damaged payloads with a
-// valid fingerprint must still be refused.
+// tinyGrid is a two-segment route (a signal halfway) on a grid small
+// enough that a whole import, grid rebuild included, takes microseconds:
+// the framing test and FuzzTablesWire import thousands of payloads. wide
+// sets Δv so fine, with a speed floor keeping each band narrow, that
+// velocity indices pass 255 and paths travel two bytes per index.
+func tinyGrid(t testing.TB, wide bool) Config {
+	t.Helper()
+	rc := road.RouteConfig{LengthM: 100, DefaultMaxMS: 10}
+	cfg := Config{Vehicle: ev.SparkEV(), DsM: 50, DvMS: 2, DtSec: 2, MaxTripSec: 60}
+	if wide {
+		rc.LengthM, rc.DefaultMinMS, cfg.DvMS = 200, 9.85, 0.03
+	}
+	rc.Controls = []road.Control{{Kind: road.ControlSignal, PositionM: rc.LengthM / 2,
+		Timing: road.SignalTiming{RedSec: 30, GreenSec: 30}, Name: "l"}}
+	r, err := road.NewRoute(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Route = r
+	return cfg
+}
+
+// cloneTables deep-copies rt's specs and entry-table columns, so a test
+// can damage the copy and Export tables no build would write.
+func cloneTables(rt *RouteTables) *RouteTables {
+	c := *rt
+	c.specs = slices.Clone(rt.specs)
+	c.entries = make([][]entryTable, len(rt.entries))
+	for s, ets := range rt.entries {
+		c.entries[s] = make([]entryTable, len(ets))
+		for e, et := range ets {
+			et.exitJ, et.durSec, et.costAh = slices.Clone(et.exitJ), slices.Clone(et.durSec), slices.Clone(et.costAh)
+			et.paths = slices.Clone(et.paths)
+			c.entries[s][e] = et
+		}
+	}
+	return &c
+}
+
+// specsLen is the byte length of rt's header and specs in the flat
+// layout: the offset of its first entry set.
+func specsLen(rt *RouteTables) int {
+	n := wireHeaderLen
+	for _, sp := range rt.specs {
+		n += wireSpecMin + len(sp.BoundaryName)
+	}
+	return n
+}
+
+// damaged is a flat payload the import must refuse.
+type damaged struct {
+	name    string
+	payload []byte
+}
+
+// corruptPayloads damages rt's payload every way ImportRouteTables must
+// refuse: the specs or entry-table columns of a deep copy mutated and then
+// Exported, and the fields no column holds (the fingerprint, the solve
+// count and a path length) patched in the bytes. Segment 0 enters at the
+// forced-zero source (one entry table), so the mutations of the entry
+// order use segment 1, whose entry band is wide.
+func corruptPayloads(rt *RouteTables) []damaged {
+	var out []damaged
+	mutate := func(name string, f func(c *RouteTables)) {
+		c := cloneTables(rt)
+		f(c)
+		out = append(out, damaged{name, c.Export().flat})
+	}
+	patch := func(name string, f func(b []byte)) {
+		b := rt.Export().flat
+		f(b)
+		out = append(out, damaged{name, b})
+	}
+	stride := func(c *RouteTables, s int) int { return c.specs[s].EndStage - c.specs[s].StartStage + 1 }
+
+	mutate("truncated segments", func(c *RouteTables) { c.specs, c.entries = c.specs[:1], c.entries[:1] })
+	mutate("entry/spec mismatch", func(c *RouteTables) { c.entries = c.entries[:1] })
+	mutate("entry out of band", func(c *RouteTables) { c.entries[0][0].entryJ = 10_000 })
+	mutate("entries out of order", func(c *RouteTables) {
+		ets := c.entries[1]
+		ets[0].entryJ, ets[1].entryJ = ets[1].entryJ, ets[0].entryJ
+	})
+	mutate("missing entry table", func(c *RouteTables) { c.entries[1] = c.entries[1][:len(c.entries[1])-1] })
+	mutate("exit out of band", func(c *RouteTables) { c.entries[0][0].exitJ[0] = -5 })
+	mutate("negative duration", func(c *RouteTables) { c.entries[0][0].durSec[0] = -1 })
+	mutate("infinite duration", func(c *RouteTables) { c.entries[0][0].durSec[0] = math.Inf(1) })
+	mutate("-Inf cost", func(c *RouteTables) { c.entries[0][0].costAh[0] = math.Inf(-1) })
+	mutate("NaN cost", func(c *RouteTables) { c.entries[0][0].costAh[0] = math.NaN() })
+	mutate("path speed out of band", func(c *RouteTables) {
+		for s, ets := range c.entries {
+			for _, et := range ets {
+				for i := 1; i < len(et.paths); i += stride(c, s) {
+					et.paths[i] = 60000
+				}
+			}
+		}
+	})
+	mutate("path leaves from another entry", func(c *RouteTables) { c.entries[0][0].paths[0]++ })
+	mutate("path ends at another exit", func(c *RouteTables) { c.entries[0][0].paths[stride(c, 0)-1]++ })
+	// Valid crossings repeated past what the exit band can hold: only the
+	// count bound can refuse this payload, before the columns are sized.
+	mutate("crossing count beyond exit band", func(c *RouteTables) {
+		exit := c.stages[c.specs[0].EndStage]
+		et := &c.entries[0][0]
+		for len(et.exitJ) <= (exit.maxJ-exit.minJ+1)*(c.grid.kMax+1) {
+			et.exitJ, et.durSec, et.costAh = append(et.exitJ, et.exitJ[0]), append(et.durSec, et.durSec[0]), append(et.costAh, et.costAh[0])
+			et.paths = append(et.paths, et.paths[:stride(c, 0)]...)
+		}
+	})
+	mutate("shifted spec stages", func(c *RouteTables) { c.specs[0].EndStage++ })
+	mutate("renamed boundary", func(c *RouteTables) { c.specs[0].BoundaryName += "'" })
+	mutate("moved boundary", func(c *RouteTables) { c.specs[0].EndM++ })
+	le := binary.LittleEndian
+	patch("fingerprint", func(b []byte) { b[6]++ })
+	patch("solve count", func(b []byte) { le.PutUint32(b[14:], uint32(rt.SegmentSolves()+1)) })
+	// Crossing 0 of segment 0's first entry table claims a one-stage path.
+	at := specsLen(rt) + wireEntrySetMin + wireEntryMin + len(rt.entries[0][0].exitJ)*(4+8+8)
+	patch("truncated path", func(b []byte) { le.PutUint32(b[at:], 1) })
+	return out
+}
+
+// TestWireImportRejectsCorruption: damaged payloads are refused, those
+// with a valid fingerprint included.
 func TestWireImportRejectsCorruption(t *testing.T) {
 	cfg := coarseUS25(nil)
 	rt := buildTestTables(t, cfg)
-
-	corrupt := func(name string, mutate func(w *TablesWire)) {
-		t.Helper()
-		w := rt.Export()
-		mutate(w)
-		if _, err := ImportRouteTables(cfg, w); err == nil {
-			t.Fatalf("%s: corrupted wire accepted", name)
+	for _, d := range corruptPayloads(rt) {
+		if _, err := ImportRouteTables(cfg, &TablesWire{flat: d.payload}); err == nil {
+			t.Fatalf("%s: corrupted payload accepted", d.name)
 		}
 	}
-	corrupt("truncated segments", func(w *TablesWire) { w.Specs = w.Specs[:1]; w.Entries = w.Entries[:1] })
-	corrupt("entry/spec mismatch", func(w *TablesWire) { w.Entries = w.Entries[:1] })
-	corrupt("entry out of band", func(w *TablesWire) { w.Entries[0][0].EntryJ = 10_000 })
-	// Segment 0 enters at the forced-zero start stage (one entry table), so
-	// the ordering mutation uses segment 1, whose entry band is wide.
-	corrupt("entries out of order", func(w *TablesWire) {
-		w.Entries[1][0].EntryJ, w.Entries[1][1].EntryJ = w.Entries[1][1].EntryJ, w.Entries[1][0].EntryJ
-	})
-	corrupt("exit out of band", func(w *TablesWire) { w.Entries[0][0].Crossings[0].ExitJ = -5 })
-	corrupt("truncated path", func(w *TablesWire) {
-		cr := &w.Entries[0][0].Crossings[0]
-		cr.Path = cr.Path[:1]
-	})
-	corrupt("negative duration", func(w *TablesWire) { w.Entries[0][0].Crossings[0].DurSec = -1 })
-	corrupt("infinite duration", func(w *TablesWire) { w.Entries[0][0].Crossings[0].DurSec = math.Inf(1) })
-	corrupt("-Inf cost", func(w *TablesWire) { w.Entries[0][0].Crossings[0].CostAh = math.Inf(-1) })
-	corrupt("NaN cost", func(w *TablesWire) { w.Entries[0][0].Crossings[0].CostAh = math.NaN() })
-	corrupt("path speed out of band", func(w *TablesWire) {
-		for _, ets := range w.Entries {
-			for _, ew := range ets {
-				for _, cw := range ew.Crossings {
-					cw.Path[1] = 60000
-				}
-			}
-		}
-	})
-	corrupt("path leaves from another entry", func(w *TablesWire) { w.Entries[0][0].Crossings[0].Path[0]++ })
-	corrupt("path ends at another exit", func(w *TablesWire) {
-		cr := &w.Entries[0][0].Crossings[0]
-		cr.Path[len(cr.Path)-1]++
-	})
-	// Valid crossings repeated past what the exit band can hold: only the
-	// count bound can refuse this payload, before the flat arrays are sized.
-	exit := rt.stages[rt.specs[0].EndStage]
-	limit := (exit.maxJ - exit.minJ + 1) * (rt.grid.kMax + 1)
-	corrupt("crossing count beyond exit band", func(w *TablesWire) {
-		ew := &w.Entries[0][0]
-		for len(ew.Crossings) <= limit {
-			ew.Crossings = append(ew.Crossings, ew.Crossings[0])
-		}
-	})
-	corrupt("shifted spec stages", func(w *TablesWire) { w.Specs[0].EndStage++ })
 	if _, err := ImportRouteTables(cfg, nil); err == nil {
 		t.Fatal("nil wire accepted")
 	}
-}
-
-// sameWire fails t unless got equals want field for field, floats by their
-// bits (so a NaN cost matches itself) and nil slices only with nil.
-func sameWire(t *testing.T, name string, got, want *TablesWire) {
-	t.Helper()
-	bitsEq := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	if got.Fingerprint != want.Fingerprint || got.SegmentSolves != want.SegmentSolves ||
-		!slices.EqualFunc(got.Specs, want.Specs, func(a, b SegmentSpec) bool {
-			return a.StartStage == b.StartStage && a.EndStage == b.EndStage && a.BoundaryName == b.BoundaryName &&
-				bitsEq(a.StartM, b.StartM) && bitsEq(a.EndM, b.EndM)
-		}) || len(got.Entries) != len(want.Entries) {
-		t.Fatalf("%s: header or specs differ after the round trip", name)
+	if _, err := ImportRouteTables(cfg, &TablesWire{}); err == nil {
+		t.Fatal("empty wire accepted")
 	}
-	for s := range want.Entries {
-		if len(got.Entries[s]) != len(want.Entries[s]) {
-			t.Fatalf("%s: segment %d carries %d entries, want %d", name, s, len(got.Entries[s]), len(want.Entries[s]))
-		}
-		for e, we := range want.Entries[s] {
-			ge := got.Entries[s][e]
-			if ge.EntryJ != we.EntryJ || len(ge.Crossings) != len(we.Crossings) || (ge.Crossings == nil) != (we.Crossings == nil) {
-				t.Fatalf("%s: segment %d entry %d differs", name, s, e)
-			}
-			for c, wc := range we.Crossings {
-				gc := ge.Crossings[c]
-				if gc.ExitJ != wc.ExitJ || !bitsEq(gc.DurSec, wc.DurSec) || !bitsEq(gc.CostAh, wc.CostAh) ||
-					!slices.Equal(gc.Path, wc.Path) || (gc.Path == nil) != (wc.Path == nil) {
-					t.Fatalf("%s: segment %d entry %d crossing %d differs: %+v, want %+v", name, s, e, c, gc, wc)
-				}
-			}
-		}
-	}
-}
-
-func roundTrip(t *testing.T, name string, w *TablesWire) []byte {
-	t.Helper()
-	b, err := w.MarshalBinary()
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	var got TablesWire
-	if err := got.UnmarshalBinary(b); err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	sameWire(t, name, &got, w)
-	return b
-}
-
-// TestWireBinaryRoundTrip: the flat codec is total — every export, and
-// every structurally corrupted export the import must refuse, decodes to
-// the value that was encoded, so ImportRouteTables stays the only judge of
-// a payload's meaning. The mutations mirror TestWireImportRejectsCorruption.
-func TestWireBinaryRoundTrip(t *testing.T) {
-	for i, cfg := range stitchGrids() {
-		roundTrip(t, fmt.Sprintf("grid %d", i), buildTestTables(t, cfg).Export())
-	}
-
-	rt := buildTestTables(t, coarseUS25(nil))
-	exit := rt.stages[rt.specs[0].EndStage]
-	limit := (exit.maxJ - exit.minJ + 1) * (rt.grid.kMax + 1)
-	for _, m := range []struct {
-		name   string
-		mutate func(w *TablesWire)
-	}{
-		{"truncated segments", func(w *TablesWire) { w.Specs = w.Specs[:1]; w.Entries = w.Entries[:1] }},
-		{"entry/spec mismatch", func(w *TablesWire) { w.Entries = w.Entries[:1] }},
-		{"entry out of band", func(w *TablesWire) { w.Entries[0][0].EntryJ = 10_000 }},
-		{"entries out of order", func(w *TablesWire) {
-			w.Entries[1][0].EntryJ, w.Entries[1][1].EntryJ = w.Entries[1][1].EntryJ, w.Entries[1][0].EntryJ
-		}},
-		{"exit out of band", func(w *TablesWire) { w.Entries[0][0].Crossings[0].ExitJ = -5 }},
-		{"truncated path", func(w *TablesWire) { cr := &w.Entries[0][0].Crossings[0]; cr.Path = cr.Path[:1] }},
-		{"negative duration", func(w *TablesWire) { w.Entries[0][0].Crossings[0].DurSec = -1 }},
-		{"infinite duration", func(w *TablesWire) { w.Entries[0][0].Crossings[0].DurSec = math.Inf(1) }},
-		{"-Inf cost", func(w *TablesWire) { w.Entries[0][0].Crossings[0].CostAh = math.Inf(-1) }},
-		{"NaN cost", func(w *TablesWire) { w.Entries[0][0].Crossings[0].CostAh = math.NaN() }},
-		{"path speed out of band", func(w *TablesWire) {
-			for _, ets := range w.Entries {
-				for _, ew := range ets {
-					for _, cw := range ew.Crossings {
-						cw.Path[1] = 60000
-					}
-				}
-			}
-		}},
-		{"path leaves from another entry", func(w *TablesWire) { w.Entries[0][0].Crossings[0].Path[0]++ }},
-		{"path ends at another exit", func(w *TablesWire) { cr := &w.Entries[0][0].Crossings[0]; cr.Path[len(cr.Path)-1]++ }},
-		{"crossing count beyond exit band", func(w *TablesWire) {
-			ew := &w.Entries[0][0]
-			for len(ew.Crossings) <= limit {
-				ew.Crossings = append(ew.Crossings, ew.Crossings[0])
-			}
-		}},
-		{"shifted spec stages", func(w *TablesWire) { w.Specs[0].EndStage++ }},
-	} {
-		w := rt.Export()
-		m.mutate(w)
-		roundTrip(t, m.name, w)
-	}
-}
-
-// smallWire is a hand-sized payload for byte-level tests: two segments,
-// one entry table with no crossings, and ragged paths. wide adds a path
-// index past 255 as the last index of the slab, forcing 2-byte paths.
-func smallWire(wide bool) *TablesWire {
-	w := &TablesWire{
-		Fingerprint: 0x0123456789abcdef, SegmentSolves: 3,
-		Specs: []SegmentSpec{{0, 2, 0, 200, "light-1"}, {2, 4, 200, 400, ""}},
-		Entries: [][]EntryWire{
-			{{EntryJ: 0, Crossings: []CrossingWire{{ExitJ: 5, DurSec: 20, CostAh: 0.01, Path: []uint16{0, 3, 5}}}}},
-			{{EntryJ: 3, Crossings: []CrossingWire{}}, {EntryJ: 4, Crossings: []CrossingWire{
-				{ExitJ: 6, DurSec: 19.5, CostAh: 0.02, Path: []uint16{4, 5, 6}},
-				{ExitJ: 7, DurSec: 18, CostAh: -0.5, Path: []uint16{4, 7}},
-			}}},
-		},
-	}
-	if wide {
-		p := w.Entries[1][1].Crossings[1].Path
-		p[len(p)-1] = 300
-	}
-	return w
 }
 
 // heapDelta reports the bytes f allocated on the heap.
@@ -286,28 +249,36 @@ func heapDelta(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestWireUnmarshalRejects: UnmarshalBinary refuses every payload it did
-// not frame — wrong magic, version or width, a cut at any byte, trailing
-// bytes, a wide payload MarshalBinary would have written narrow — and a
-// forged count fails before it is allocated.
-func TestWireUnmarshalRejects(t *testing.T) {
-	reject := func(name string, b []byte) {
+// TestWireImportRejectsFraming: ImportRouteTables refuses every payload
+// Export did not write — wrong magic, version or width, a cut at any
+// byte, trailing bytes, a wide payload Export would have written narrow —
+// and a forged count fails before it is allocated. Both path widths
+// import and re-export to the same bytes.
+func TestWireImportRejectsFraming(t *testing.T) {
+	reject := func(name string, cfg Config, b []byte) {
 		t.Helper()
-		var w TablesWire
-		if err := w.UnmarshalBinary(b); err == nil {
+		if _, err := ImportRouteTables(cfg, &TablesWire{flat: b}); err == nil {
 			t.Fatalf("%s: payload accepted", name)
 		}
 	}
 	for _, wide := range []bool{false, true} {
-		valid := roundTrip(t, "small", smallWire(wide))
+		cfg := tinyGrid(t, wide)
+		valid := buildTestTables(t, cfg).Export().flat
 		if wide != (valid[5] == 2) {
 			t.Fatalf("wide=%v: payload path width %d", wide, valid[5])
 		}
+		rt, err := ImportRouteTables(cfg, &TablesWire{flat: valid})
+		if err != nil {
+			t.Fatalf("wide=%v: %v", wide, err)
+		}
+		if !bytes.Equal(rt.Export().flat, valid) {
+			t.Fatalf("wide=%v: imported tables re-export to different bytes", wide)
+		}
 		// Every cut, so every field boundary.
 		for n := range valid {
-			reject(fmt.Sprintf("wide=%v cut at %d", wide, n), valid[:n])
+			reject(fmt.Sprintf("wide=%v cut at %d", wide, n), cfg, valid[:n])
 		}
-		reject("trailing byte", append(slices.Clone(valid), 0))
+		reject("trailing byte", cfg, append(slices.Clone(valid), 0))
 		for _, c := range []struct {
 			name string
 			at   int
@@ -315,28 +286,21 @@ func TestWireUnmarshalRejects(t *testing.T) {
 		}{{"bad magic", 0, 'X'}, {"unknown version", 4, wireVersion + 1}, {"width 0", 5, 0}, {"width 3", 5, 3}} {
 			b := slices.Clone(valid)
 			b[c.at] = c.to
-			reject(c.name, b)
+			reject(c.name, cfg, b)
 		}
 	}
-	// The wide payload's only index past 255 is its last: bring it under
-	// 256 and the 2-byte layout is no longer the one MarshalBinary picks.
-	narrowed := roundTrip(t, "small", smallWire(true))
-	narrowed[len(narrowed)-1] = 0
-	reject("2-byte paths that fit in 1", narrowed)
 
-	// A 40-byte payload: header, one entry set holding one entry table
-	// that claims 2³¹ crossings, then two bytes.
-	forged := append([]byte(wireMagic), wireVersion, 1)
-	forged = binary.LittleEndian.AppendUint64(forged, 1)
-	for _, v := range []uint32{0, 0, 1, 1, 7, 1 << 31} { // solves, specs, sets, entries, entry j, crossings
-		forged = binary.LittleEndian.AppendUint32(forged, v)
-	}
-	forged = append(forged, 0, 0)
-	if len(forged) != 40 {
-		t.Fatalf("forged payload is %d bytes", len(forged))
-	}
+	cfg := tinyGrid(t, false)
+	rt := buildTestTables(t, cfg)
+	reject("2-byte paths that fit in 1", cfg, rt.appendFlat(nil, 2))
+
+	// Segment 0's first entry table claims 2³¹ crossings, and the payload
+	// ends two bytes later.
+	at := specsLen(rt) + wireEntrySetMin + 4
+	forged := rt.Export().flat[:at+4+2]
+	binary.LittleEndian.PutUint32(forged[at:], 1<<31)
 	var err error
-	if n := heapDelta(func() { err = new(TablesWire).UnmarshalBinary(forged) }); err == nil || n > 1<<16 {
+	if n := heapDelta(func() { _, err = ImportRouteTables(cfg, &TablesWire{flat: forged}) }); err == nil || n > 1<<16 {
 		t.Fatalf("2³¹ claimed crossings: err %v after allocating %d bytes", err, n)
 	}
 }
@@ -357,43 +321,38 @@ func TestWirePayloadGolden(t *testing.T) {
 	}
 }
 
-// FuzzTablesWire: any byte string either fails to decode or decodes to a
-// value that re-encodes to the same bytes, without panicking and without
-// allocating more than a small multiple of its length.
+// FuzzTablesWire: any byte string either fails to import or imports to
+// tables whose Export is the same bytes, without panicking and without
+// allocating more than a small multiple of its length. It imports under
+// tinyGrid, so one import costs microseconds; the seeds are its export,
+// that export cut, widened and damaged every way corruptPayloads damages
+// it, and the bare magic.
 func FuzzTablesWire(f *testing.F) {
-	for _, wide := range []bool{false, true} {
-		b, err := smallWire(wide).MarshalBinary()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b)
-		f.Add(b[:len(b)/2])
-	}
-	rt, err := BuildRouteTables(context.Background(), coarseUS25(nil))
+	cfg := tinyGrid(f, false)
+	rt, err := BuildRouteTables(context.Background(), cfg)
 	if err != nil {
 		f.Fatal(err)
 	}
-	b, err := rt.Export().MarshalBinary()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(b)
+	valid := rt.Export().flat
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(rt.appendFlat(nil, 2))
 	f.Add([]byte(wireMagic))
+	f.Add([]byte{})
+	for _, d := range corruptPayloads(rt) {
+		f.Add(d.payload)
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		var w TablesWire
+		var imp *RouteTables
 		var err error
-		if n := heapDelta(func() { err = w.UnmarshalBinary(payload) }); n > 8*uint64(len(payload))+1<<16 {
-			t.Fatalf("decoding %d bytes allocated %d", len(payload), n)
+		if n := heapDelta(func() { imp, err = ImportRouteTables(cfg, &TablesWire{flat: payload}) }); n > 8*uint64(len(payload))+1<<16 {
+			t.Fatalf("importing %d bytes allocated %d", len(payload), n)
 		}
 		if err != nil {
 			return
 		}
-		again, err := w.MarshalBinary()
-		if err != nil {
-			t.Fatalf("decoded value does not re-encode: %v", err)
-		}
-		if !bytes.Equal(again, payload) {
-			t.Fatalf("decoded %d bytes re-encode to %d different bytes", len(payload), len(again))
+		if again := imp.Export().flat; !bytes.Equal(again, payload) {
+			t.Fatalf("imported %d bytes re-export to %d different bytes", len(payload), len(again))
 		}
 	})
 }
