@@ -21,7 +21,7 @@ fmt:
 
 # The second pass type-checks the non-amd64 build (kernels_noasm.go's
 # stubs must track every asm kernel's name and signature); kernel-fma then
-# checks that build's lane-kernel code.
+# checks that build's code for fused multiply-adds.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
@@ -29,19 +29,21 @@ vet:
 
 # The lane kernels' Go references promise separate roundings, never a fused
 # multiply-add (kernels.go): the AVX2 kernels round every product, and so
-# must the reference on every architecture. arm64 fuses x*y+z unless an
-# explicit float64 conversion rounds the product, so this fails on any
-# FMADDD/FMSUBD/FNMADDD/FNMSUBD in the arm64 code of relaxEvalGo or
-# improveFilterGo (and if either symbol is missing, so a rename cannot
-# pass it silently).
+# must the reference on every architecture. The rest of the solver keeps
+# the same promise, so an arm64 node builds the same tables, fingerprints
+# and plans as an amd64 one. arm64 fuses x*y+z unless an explicit float64
+# conversion rounds the product, so this fails on any
+# FMADD/FMSUB/FNMADD/FNMSUB in any function of the arm64 build of
+# internal/dp, naming each function, and if either lane-kernel symbol
+# (relaxEvalGo, improveFilterGo) is missing from the disassembly.
 kernel-fma:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	GOARCH=arm64 $(GO) build -o "$$tmp/dp.a" ./internal/dp && \
-	$(GO) tool objdump -s 'dp\.(relaxEvalGo|improveFilterGo)$$' "$$tmp/dp.a" > "$$tmp/dis" && \
+	$(GO) tool objdump "$$tmp/dp.a" > "$$tmp/dis" && \
 	grep -q 'TEXT.*dp\.relaxEvalGo(SB)' "$$tmp/dis" && grep -q 'TEXT.*dp\.improveFilterGo(SB)' "$$tmp/dis" || \
 		{ echo "kernel-fma: could not disassemble the arm64 lane kernels"; exit 1; }; \
-	if grep -E '[[:space:]](FMADDD|FMSUBD|FNMADDD|FNMSUBD)[[:space:]]' "$$tmp/dis"; then \
-		echo "kernel-fma: fused multiply-add in an arm64 lane kernel reference"; exit 1; fi
+	if awk '/^TEXT/ { fn = $$2 } /[[:space:]](FMADD|FMSUB|FNMADD|FNMSUB)[DS][[:space:]]/ { print fn, $$1; n++ } END { exit n == 0 }' "$$tmp/dis"; then \
+		echo "kernel-fma: fused multiply-add in the arm64 build of internal/dp"; exit 1; fi
 
 # Custom static-analysis suite (internal/lint via cmd/evlint), six
 # analyzers: context plumbing on the request path (ctxcheck), unit-suffix
@@ -99,10 +101,11 @@ chaos:
 		./internal/cloud ./internal/dp ./cmd/cloudd
 
 # Cluster robustness smoke (DESIGN.md §13): the membership primitives
-# (ring, failure detector, breaker) plus the multi-node partition/kill
-# chaos tests, single-versus-batch servedBy parity, the breaker's
-# no-verdict rule for self-cancelled fetches, heartbeat validation and the
-# readiness/drain lifecycle, under the race detector.
+# (ring, failure detector) plus the multi-node partition/kill chaos tests,
+# a hedged fetch delivering past a slow owner link, single-versus-batch
+# servedBy parity, the rule that self-cancelled fetches are not failed
+# fetches, heartbeat validation and the readiness/drain lifecycle, under
+# the race detector.
 chaos-cluster:
 	$(GO) test -race -count=1 ./internal/cluster
 	$(GO) test -race -count=1 -run 'Cluster|Ready|Retry' \

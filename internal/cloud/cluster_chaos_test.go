@@ -2,7 +2,7 @@ package cloud
 
 // Cluster chaos tests: boot a real multi-node cluster in-process (each
 // member behind its own httptest listener), then kill nodes, partition
-// links and trip breakers while load is in flight. The robustness contract
+// links and slow links while load is in flight. The robustness contract
 // under test (DESIGN.md §13): every request that reaches a live node
 // returns the exact plan — peer failures cost latency and duplicated
 // compute, never correctness — and every failover is observable in
@@ -24,7 +24,8 @@ import (
 // hooks, flippable mid-flight.
 type clusterPeerFaults struct {
 	dropTo  atomic.Value // string: peer ID whose outbound exchanges fail ("" = none)
-	delayMS atomic.Int64 // delay on every outbound exchange
+	delayTo atomic.Value // string: peer ID whose outbound exchanges are delayed ("" = none)
+	delayMS atomic.Int64 // the delay on each exchange to delayTo
 }
 
 func (f *clusterPeerFaults) faults() Faults {
@@ -33,7 +34,10 @@ func (f *clusterPeerFaults) faults() Faults {
 			s, _ := f.dropTo.Load().(string)
 			return s != "" && s == to
 		},
-		PeerDelay: func(string) time.Duration {
+		PeerDelay: func(to string) time.Duration {
+			if s, _ := f.delayTo.Load().(string); s == "" || s != to {
+				return 0
+			}
 			return time.Duration(f.delayMS.Load()) * time.Millisecond
 		},
 	}
@@ -354,8 +358,7 @@ func TestClusterChaosNodeKillMidLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 		cl := st.Cluster
-		failoverSignals += cl.TableFetchFails + cl.PeerFallbacks +
-			cl.Takeovers + cl.BreakerFastFails + cl.BreakerOpens
+		failoverSignals += cl.TableFetchFails + cl.PeerFallbacks + cl.Takeovers
 	}
 	if failoverSignals == 0 {
 		t.Fatal("owner died under load but no survivor recorded any failover counter")
@@ -389,7 +392,7 @@ func TestClusterChaosAsymmetricPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := st.Cluster.TableFetchFails + st.Cluster.BreakerFastFails; n == 0 {
+	if n := st.Cluster.TableFetchFails; n == 0 {
 		t.Fatalf("partition left no trace in the cold member's fetch counters: %+v", st.Cluster)
 	}
 	if n := st.Cluster.TableFetches + st.Cluster.PeerFallbacks; n == 0 {
@@ -429,36 +432,38 @@ func TestClusterChaosAsymmetricPartition(t *testing.T) {
 	}
 }
 
-// TestClusterBreakerShortCircuitsPeer: with the cold member's breaker for
-// the owner already open, a request must not wait on doomed exchanges —
-// the breaker fast-fails the owner fetch, and the replica holder supplies
-// the tables. White-box: the breaker is tripped directly.
-func TestClusterBreakerShortCircuitsPeer(t *testing.T) {
+// TestClusterChaosHedgeDeliversPastSlowOwner: the cold member's link to
+// the owner turns slow (every exchange on it waits 3 s), while the owner
+// still looks alive. Its first request must not wait out the delay: the
+// fetch from the owner outlives the hedge budget, the hedged fetch to the
+// replica holder delivers the exact tables, and the stalled owner fetch is
+// cancelled without counting as a failed fetch or forcing a rebuild.
+func TestClusterChaosHedgeDeliversPastSlowOwner(t *testing.T) {
 	nodes := startChaosCluster(t, 3)
 	ref := parityRef(t)
 	ownerIdx, _, coldIdx := clusterRoles(t, nodes)
 	cold, owner := nodes[coldIdx], nodes[ownerIdx]
+	const delay = 3 * time.Second
 
-	link := cold.srv.peers.peers[owner.id]
-	for i := 0; i < 3; i++ {
-		link.breaker.Failure(time.Now())
-	}
-
+	cold.faults.delayMS.Store(delay.Milliseconds())
+	cold.faults.delayTo.Store(owner.id)
+	start := time.Now()
 	req := Request{Route: "us25", DepartTime: 50}
 	resp, err := cold.c.Optimize(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if took := time.Since(start); took >= delay/2 {
+		t.Fatalf("request took %v against a %v owner link: the hedge did not deliver", took, delay)
 	}
 	assertParity(t, ref, resp, req)
 	st, err := cold.c.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Cluster.BreakerFastFails == 0 {
-		t.Fatalf("open breaker did not fast-fail any exchange: %+v", st.Cluster)
-	}
-	if st.Cluster.BreakerOpens == 0 {
-		t.Fatalf("breaker open not reported in stats: %+v", st.Cluster)
+	cl := st.Cluster
+	if cl.HedgedFetches < 1 || cl.TableFetches < 1 || cl.PeerFallbacks != 0 || cl.TableFetchFails != 0 {
+		t.Fatalf("want a hedged fetch that delivered, no failed fetch and no local rebuild: %+v", cl)
 	}
 }
 
@@ -467,7 +472,7 @@ func TestClusterBreakerShortCircuitsPeer(t *testing.T) {
 // flips to 200; /v1/health is 200 the whole time (liveness != readiness).
 func TestClusterReadyJoiningWindow(t *testing.T) {
 	f := &clusterPeerFaults{}
-	f.dropTo.Store("")
+	f.delayTo.Store("phantom")
 	f.delayMS.Store(10_000) // every probe burns its full one-interval timeout
 	srv, err := NewServer(ServerConfig{
 		DPTemplate:    coarseDP(),

@@ -31,8 +31,9 @@ type Faults struct {
 	// PeerDelay, when non-nil, returns an artificial delay inserted before
 	// each cluster exchange from this node to peer `to` (heartbeats, table
 	// fetches and replication pushes alike). The sleep is
-	// context-aware. Use it to simulate a slow or congested link — e.g. to
-	// force hedged fetches.
+	// context-aware. Use it to simulate a slow or congested link. Only a
+	// delay to some peers can make a hedged fetch win: with the same delay
+	// to every peer the hedge waits as long as the fetch it backs up.
 	PeerDelay func(to string) time.Duration
 
 	// PeerDrop, when non-nil and returning true for peer `to`, fails the

@@ -1,8 +1,9 @@
 // Cluster serving: consistent-hash sharding of segment-table ownership
-// across a fleet of cloudd peers, with replication, failure detection,
-// hedged fetches and per-peer circuit breakers (DESIGN.md §13). The
-// membership/health primitives live in internal/cluster; this file
-// supplies the HTTP plumbing and wires them into the serving stack.
+// across a fleet of cloudd peers, with replication, failure detection and
+// hedged fetches (DESIGN.md §13). The failure detector alone decides which
+// peers are worth dialing. The membership/health primitives live in
+// internal/cluster; this file supplies the HTTP plumbing and wires them
+// into the serving stack.
 //
 // Tables are the one thing nodes share. Whichever node a request reaches
 // serves it, single or batch item alike: routeTables consults
@@ -67,10 +68,6 @@ const (
 	// while the histogram is still cold.
 	hedgeQuantile = 0.95
 	hedgeMinSec   = 0.05
-	// A peer's circuit breaker opens after breakerFails consecutive failed
-	// exchanges and admits one probe after breakerCooldownSec.
-	breakerFails       = 3
-	breakerCooldownSec = 2.0
 	// maxTableBytes bounds a table payload received from a peer.
 	maxTableBytes = 32 << 20
 )
@@ -112,13 +109,11 @@ func (c *ClusterConfig) normalize() error {
 }
 
 // peerLink is this node's view of one peer: its HTTP client (heartbeats
-// and gob table exchanges, over the fault-injected transport) and its
-// circuit breaker.
+// and gob table exchanges, over the fault-injected transport).
 type peerLink struct {
 	id      string
 	baseURL string
 	http    *http.Client
-	breaker *cluster.Breaker
 }
 
 // peerGroup is the cluster runtime attached to a Server: ring, detector,
@@ -145,9 +140,8 @@ type peerGroup struct {
 	readyOnce sync.Once
 	ready     chan struct{} // closed after the first heartbeat sweep
 
-	takeovers, tableFetches, tableFetchFails metrics.Counter
-	hedgedFetches, replPushed, replRecv      metrics.Counter
-	peerFallbacks, breakerFastFails          metrics.Counter
+	takeovers, tableFetches, tableFetchFails           metrics.Counter
+	hedgedFetches, replPushed, replRecv, peerFallbacks metrics.Counter
 }
 
 // peerTransport injects the peer-level faults (delay, then drop) in front
@@ -199,12 +193,8 @@ func newPeerGroup(cfg ClusterConfig, faults *Faults) (*peerGroup, error) {
 		ready:    make(chan struct{}),
 	}
 	for _, id := range peerIDs {
-		br, err := cluster.NewBreaker(breakerFails, secToDur(breakerCooldownSec))
-		if err != nil {
-			return nil, err
-		}
 		pg.peers[id] = &peerLink{
-			id: id, baseURL: cfg.Peers[id], breaker: br,
+			id: id, baseURL: cfg.Peers[id],
 			http: &http.Client{Transport: &peerTransport{to: id, faults: faults, next: http.DefaultTransport}},
 		}
 	}
@@ -276,8 +266,7 @@ func (pg *peerGroup) actingOwner(key string, now time.Time) (owner string, takeo
 		}
 	}
 	// Every member is dead in our view — a full partition. Keep the
-	// primary; breakers fail the exchanges fast and callers fall back to
-	// local compute.
+	// primary; its fetch fails and the caller falls back to local compute.
 	return succ[0], false
 }
 
@@ -365,24 +354,16 @@ func (pg *peerGroup) fetchTables(ctx context.Context, key string, cfg dp.Config,
 	}
 }
 
-// fetchOne performs a single breaker-guarded GET /v1/tables/{key} against
-// one peer and imports the payload under the local config. A failure
-// counts against the peer (its breaker and tableFetchFails) only when this
-// node did not cancel the fetch itself: a lost hedge or an expired request
-// deadline says nothing about the peer, so it records no verdict.
+// fetchOne performs a single GET /v1/tables/{key} against one peer and
+// imports the payload under the local config. A failure counts in
+// tableFetchFails only when this node did not cancel the fetch itself: a
+// lost hedge or an expired request deadline says nothing about the peer.
 func (pg *peerGroup) fetchOne(ctx context.Context, pl *peerLink, key string, cfg dp.Config) (*dp.RouteTables, error) {
-	if !pl.breaker.Allow(time.Now()) {
-		pg.breakerFastFails.Inc()
-		return nil, fmt.Errorf("cloud: circuit breaker open for peer %s", pl.id)
-	}
 	start := time.Now()
 	fail := func(err error) (*dp.RouteTables, error) {
-		if ctx.Err() != nil {
-			pl.breaker.Abandon()
-			return nil, err
+		if ctx.Err() == nil {
+			pg.tableFetchFails.Inc()
 		}
-		pg.tableFetchFails.Inc()
-		pl.breaker.Failure(time.Now())
 		return nil, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, pl.baseURL+"/v1/tables/"+url.PathEscape(key), nil)
@@ -394,14 +375,6 @@ func (pg *peerGroup) fetchOne(ctx context.Context, pl *peerLink, key string, cfg
 		return fail(fmt.Errorf("cloud: fetching tables %q from %s: %w", key, pl.id, err))
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		// The peer answered: it is reachable and simply holds no tables for
-		// key yet (replication has not reached it). The attempt still
-		// failed, but it is no verdict against the peer's health.
-		pg.tableFetchFails.Inc()
-		pl.breaker.Success()
-		return nil, fmt.Errorf("cloud: peer %s has no tables for %q yet (HTTP 404)", pl.id, key)
-	}
 	if resp.StatusCode != http.StatusOK {
 		return fail(fmt.Errorf("cloud: peer %s has no servable tables for %q (HTTP %d)", pl.id, key, resp.StatusCode))
 	}
@@ -409,7 +382,6 @@ func (pg *peerGroup) fetchOne(ctx context.Context, pl *peerLink, key string, cfg
 	if err != nil {
 		return fail(fmt.Errorf("cloud: tables %q from %s: %w", key, pl.id, err))
 	}
-	pl.breaker.Success()
 	pg.fetchLat.Observe(units.SecToMs(time.Since(start).Seconds()))
 	return rt, nil
 }
@@ -561,8 +533,7 @@ type ClusterStats struct {
 	// HedgedFetches the extra attempts launched past the hedge budget;
 	// TableFetchFails the fetch attempts that failed, one per peer that
 	// did not deliver (attempts this node cancelled itself — a lost hedge,
-	// an expired request deadline — are not counted, and a peer refused by
-	// an open breaker counts in BreakerFastFails instead).
+	// an expired request deadline — are not counted).
 	TableFetches    int64 `json:"tableFetches"`
 	TableFetchFails int64 `json:"tableFetchFails"`
 	HedgedFetches   int64 `json:"hedgedFetches"`
@@ -570,11 +541,8 @@ type ClusterStats struct {
 	ReplicasPushed   int64 `json:"replicasPushed"`
 	ReplicasReceived int64 `json:"replicasReceived"`
 	// PeerFallbacks counts local table rebuilds after all fetch candidates
-	// failed; BreakerFastFails exchanges refused locally by an open
-	// breaker; BreakerOpens closed→open breaker transitions across peers.
-	PeerFallbacks    int64 `json:"peerFallbacks"`
-	BreakerFastFails int64 `json:"breakerFastFails"`
-	BreakerOpens     int64 `json:"breakerOpens"`
+	// failed.
+	PeerFallbacks int64 `json:"peerFallbacks"`
 }
 
 // clusterStats snapshots the cluster counters (nil without a cluster).
@@ -585,10 +553,6 @@ func (s *Server) clusterStats() *ClusterStats {
 	}
 	now := time.Now()
 	alive, suspect, dead := pg.det.Counts(now)
-	var opens int64
-	for _, id := range pg.order {
-		opens += pg.peers[id].breaker.Opens()
-	}
 	return &ClusterStats{
 		NodeID:           pg.self,
 		Ready:            pg.clusterReady() && !s.draining.Load(),
@@ -602,7 +566,5 @@ func (s *Server) clusterStats() *ClusterStats {
 		ReplicasPushed:   pg.replPushed.Value(),
 		ReplicasReceived: pg.replRecv.Value(),
 		PeerFallbacks:    pg.peerFallbacks.Value(),
-		BreakerFastFails: pg.breakerFastFails.Value(),
-		BreakerOpens:     opens,
 	}
 }

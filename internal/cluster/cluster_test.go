@@ -160,114 +160,9 @@ func TestDetectorStateMachine(t *testing.T) {
 	}
 }
 
-func TestBreakerValidation(t *testing.T) {
-	if _, err := NewBreaker(0, time.Second); err == nil {
-		t.Fatal("zero threshold accepted")
-	}
-	if _, err := NewBreaker(3, 0); err == nil {
-		t.Fatal("zero cooldown accepted")
-	}
-}
-
-// TestBreakerLifecycle: closed → open at the failure threshold → half-open
-// after cooldown admitting exactly one probe → closed on probe success.
-func TestBreakerLifecycle(t *testing.T) {
-	t0 := time.Unix(2000, 0)
-	b, err := NewBreaker(3, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if !b.Allow(t0) {
-			t.Fatalf("closed breaker refused request %d", i)
-		}
-		b.Failure(t0)
-	}
-	if b.State(t0) != BreakerClosed {
-		t.Fatalf("state %v after 2 of 3 failures, want closed", b.State(t0))
-	}
-	b.Failure(t0) // third consecutive failure trips it
-	if b.State(t0) != BreakerOpen || b.Opens() != 1 {
-		t.Fatalf("state %v opens %d, want open after threshold", b.State(t0), b.Opens())
-	}
-	if b.Allow(t0.Add(500 * time.Millisecond)) {
-		t.Fatal("open breaker admitted a request inside the cooldown")
-	}
-	// Cooldown elapsed: exactly one probe goes through.
-	probeAt := t0.Add(1100 * time.Millisecond)
-	if !b.Allow(probeAt) {
-		t.Fatal("half-open breaker refused the probe")
-	}
-	if b.Allow(probeAt) {
-		t.Fatal("half-open breaker admitted a second concurrent probe")
-	}
-	b.Success()
-	if b.State(probeAt) != BreakerClosed || !b.Allow(probeAt) {
-		t.Fatal("probe success did not close the breaker")
-	}
-
-	// Probe failure reopens for another full cooldown.
-	for i := 0; i < 3; i++ {
-		b.Failure(probeAt)
-	}
-	reprobe := probeAt.Add(1100 * time.Millisecond)
-	if !b.Allow(reprobe) {
-		t.Fatal("second probe refused")
-	}
-	b.Failure(reprobe)
-	if b.State(reprobe) != BreakerOpen {
-		t.Fatalf("state %v after failed probe, want open", b.State(reprobe))
-	}
-	if b.Opens() != 3 {
-		t.Fatalf("opens = %d, want 3 (threshold, threshold, failed probe)", b.Opens())
-	}
-	if b.Allow(reprobe.Add(500 * time.Millisecond)) {
-		t.Fatal("failed probe did not restart the cooldown")
-	}
-}
-
-// TestBreakerAbandonReleasesProbe: a half-open probe that ends without a
-// verdict frees its slot, so the breaker cannot wedge half-open with no
-// probe in flight; an abandoned exchange in the closed state neither
-// counts as a failure nor clears the ones already counted.
-func TestBreakerAbandonReleasesProbe(t *testing.T) {
-	t0 := time.Unix(3000, 0)
-	b, err := NewBreaker(2, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Failure(t0)
-	b.Abandon()
-	b.Failure(t0)
-	if b.State(t0) != BreakerOpen {
-		t.Fatalf("state %v after two failures around an abandon, want open", b.State(t0))
-	}
-	probeAt := t0.Add(1100 * time.Millisecond)
-	if !b.Allow(probeAt) {
-		t.Fatal("half-open breaker refused the probe")
-	}
-	if b.Allow(probeAt) {
-		t.Fatal("half-open breaker admitted a second concurrent probe")
-	}
-	b.Abandon()
-	if b.State(probeAt) != BreakerHalfOpen {
-		t.Fatalf("state %v after an abandoned probe, want half-open", b.State(probeAt))
-	}
-	if !b.Allow(probeAt) {
-		t.Fatal("abandoned probe kept its slot: the breaker is wedged half-open")
-	}
-	b.Success()
-	if b.State(probeAt) != BreakerClosed || b.Opens() != 1 {
-		t.Fatalf("state %v opens %d after the second probe succeeded, want closed and 1", b.State(probeAt), b.Opens())
-	}
-}
-
 // TestStateStrings pins the stats-facing labels.
 func TestStateStrings(t *testing.T) {
 	if StateAlive.String() != "alive" || StateSuspect.String() != "suspect" || StateDead.String() != "dead" {
 		t.Fatal("detector state labels changed")
-	}
-	if BreakerClosed.String() != "closed" || BreakerOpen.String() != "open" || BreakerHalfOpen.String() != "half-open" {
-		t.Fatal("breaker state labels changed")
 	}
 }

@@ -21,7 +21,7 @@ const (
 	// StateSuspect: silent past SuspectAfter but not yet DeadAfter. A
 	// suspect peer keeps its ring ownership (reassigning on first silence
 	// would flap under transient load), but callers should expect failures
-	// and lean on breakers and fallbacks.
+	// and lean on hedged fetches and fallbacks.
 	StateSuspect
 	// StateDead: silent past DeadAfter. Ownership of the peer's keys moves
 	// to ring successors until it is heard from again.

@@ -1,11 +1,10 @@
 // Package cluster holds the membership primitives for running cloudd as a
 // fault-tolerant fleet of peers (DESIGN.md §13): a consistent-hash ring
-// that assigns segment-table ownership to nodes, a heartbeat-driven
-// failure detector that grades peers alive → suspect → dead, and a
-// per-peer circuit breaker that stops a node from hammering an unreachable
-// peer. The package is transport-agnostic — internal/cloud supplies the
-// HTTP plumbing — and every primitive takes explicit timestamps so tests
-// drive the state machines deterministically.
+// that assigns segment-table ownership to nodes, and a heartbeat-driven
+// failure detector that grades peers alive → suspect → dead and so decides
+// which peers a node dials at all. The package is transport-agnostic —
+// internal/cloud supplies the HTTP plumbing — and the detector takes
+// explicit timestamps so tests drive its state machine deterministically.
 package cluster
 
 import (

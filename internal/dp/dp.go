@@ -403,7 +403,7 @@ func newSweeper(cfg *Config, g dpGrid, stages []stageInfo) *sweeper {
 	trans := newTransitionCache(cfg, g.ds, g.jMax, bands)
 	grades := make([]*gradeTable, len(stages)-1)
 	for i := range grades {
-		grades[i] = trans.forGrade(cfg.Route.GradeAt(stages[i].posM + g.ds/2))
+		grades[i] = trans.forGrade(cfg.Route.GradeAt(stages[i].posM + float64(g.ds/2)))
 	}
 	return &sweeper{cfg: cfg, g: g, stages: stages, bands: bands, dTauT: trans.dTauT, grades: grades}
 }
@@ -504,7 +504,7 @@ func assemble(cfg Config, stages []stageInfo, js []int, ds float64,
 
 	pts = append(pts, profile.Point{T: t, Pos: stages[0].posM, V: 0})
 	for i := 0; i < n; i++ {
-		v, v2 := float64(js[i])*cfg.DvMS, float64(js[i+1])*cfg.DvMS
+		v, v2 := gridSpeed(js[i], cfg.DvMS), gridSpeed(js[i+1], cfg.DvMS)
 		if d := stages[i].dwellSec; d > 0 {
 			t += d
 			pts = append(pts, profile.Point{T: t, Pos: stages[i].posM, V: 0})
@@ -515,7 +515,7 @@ func assemble(cfg Config, stages []stageInfo, js []int, ds float64,
 		}
 		dTau := ds / vAvg
 		acc := (v2 - v) / dTau
-		charge += cfg.Vehicle.Charge(vAvg, acc, cfg.Route.GradeAt(stages[i].posM+ds/2), dTau)
+		charge += cfg.Vehicle.Charge(vAvg, acc, cfg.Route.GradeAt(stages[i].posM+float64(ds/2)), dTau)
 		// Emit the constant-acceleration kinematics densely (≈10 m steps)
 		// so position-indexed consumers (simulator replay, plotting) see
 		// the physical v(s) = sqrt(v² + 2a·s) curve rather than a single
@@ -525,7 +525,7 @@ func assemble(cfg Config, stages []stageInfo, js []int, ds float64,
 		nSub := int(math.Ceil(ds / 10))
 		for k := 1; k < nSub; k++ {
 			sOff := ds * float64(k) / float64(nSub)
-			vk := math.Sqrt(math.Max(0, v*v+2*acc*sOff))
+			vk := math.Sqrt(math.Max(0, float64(v*v)+float64(2*acc*sOff)))
 			var tk float64
 			if math.Abs(acc) < 1e-12 {
 				tk = sOff / vAvg

@@ -63,7 +63,7 @@ func (c *corridor) apply(stages []stageInfo) {
 func corridorAround(js []int, coarseDv, fineDv, marginMS float64, jMaxFine int) *corridor {
 	c := &corridor{minJ: make([]int, len(js)), maxJ: make([]int, len(js))}
 	for i, j := range js {
-		v := float64(j) * coarseDv
+		v := gridSpeed(j, coarseDv)
 		c.minJ[i], c.maxJ[i] = fineBand(v-marginMS, v+marginMS, fineDv, jMaxFine)
 	}
 	return c

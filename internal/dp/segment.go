@@ -479,15 +479,15 @@ const floorMargin = 1e-9
 // left decides, since every later one starts no earlier.
 func penaltyFloor(floor []float64, ws []queue.Window, depart, dtSec, penalty float64) {
 	kMax := len(floor) - 1
-	margin := floorMargin * (math.Abs(depart) + float64(len(floor))*dtSec)
+	margin := float64(floorMargin * (math.Abs(depart) + float64(float64(len(floor))*dtSec)))
 	wi := 0
 	for k := range floor {
 		lo, hi := math.Inf(-1), math.Inf(1)
 		if k > 0 {
-			lo = depart + (float64(k)-0.5)*dtSec - margin
+			lo = depart + float64((float64(k)-0.5)*dtSec) - margin
 		}
 		if k < kMax {
-			hi = depart + (float64(k)+0.5)*dtSec + margin
+			hi = depart + float64((float64(k)+0.5)*dtSec) + margin
 		}
 		for wi < len(ws) && ws[wi].End <= lo {
 			wi++

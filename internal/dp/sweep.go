@@ -62,7 +62,7 @@ func SweepDeparturesCtx(ctx context.Context, cfg Config, from, to, step float64)
 	}
 	out := make([]DepartureOption, count)
 	err := par.ForEach(workers, count, func(i int) error {
-		depart := from + float64(i)*step
+		depart := from + float64(float64(i)*step)
 		c := cfg
 		c.DepartTime = depart
 		// The sweep already saturates the pool; keep each DP serial so the

@@ -21,6 +21,13 @@ type accelBands struct {
 	pHi    []int // per destination j2: highest predecessor j
 }
 
+// gridSpeed is the velocity j·dv of grid index j. The conversion rounds
+// the product before any sum or difference of speeds uses it: arm64 would
+// otherwise fuse it into that add, and an arm64 node would compute other
+// transition costs, bands and plans than an amd64 one (`make kernel-fma`
+// checks every function of the arm64 build).
+func gridSpeed(j int, dv float64) float64 { return float64(float64(j) * dv) }
+
 func newAccelBands(cfg *Config, ds float64, jMax int) *accelBands {
 	b := &accelBands{
 		lo:  make([]int, jMax+1),
@@ -33,8 +40,8 @@ func newAccelBands(cfg *Config, ds float64, jMax int) *accelBands {
 	}
 	for j := 0; j <= jMax; j++ {
 		v := float64(j) * cfg.DvMS
-		vLo := math.Sqrt(math.Max(0, v*v-2*cfg.DecelMaxMS2*ds))
-		vHi := math.Sqrt(v*v + 2*cfg.AccelMaxMS2*ds)
+		vLo := math.Sqrt(math.Max(0, float64(v*v)-float64(2*cfg.DecelMaxMS2*ds)))
+		vHi := math.Sqrt(float64(v*v) + float64(2*cfg.AccelMaxMS2*ds))
 		b.lo[j] = int(math.Ceil(vLo/cfg.DvMS - 1e-9))
 		b.hi[j] = int(math.Floor(vHi/cfg.DvMS + 1e-9))
 		for j2 := max(0, b.lo[j]); j2 <= min(jMax, b.hi[j]); j2++ {
@@ -81,9 +88,9 @@ func newTransitionCache(cfg *Config, ds float64, jMax int, bands *accelBands) *t
 		byGrade: make(map[float64]*gradeTable),
 	}
 	for j := 0; j <= jMax; j++ {
-		v := float64(j) * c.dv
+		v := gridSpeed(j, c.dv)
 		for j2 := max(0, bands.lo[j]); j2 <= min(jMax, bands.hi[j]); j2++ {
-			v2 := float64(j2) * c.dv
+			v2 := gridSpeed(j2, c.dv)
 			vAvg := (v + v2) / 2
 			if vAvg <= 0 {
 				continue // cannot cover Δs at zero average speed
@@ -104,14 +111,14 @@ func (c *transitionCache) forGrade(grade float64) *gradeTable {
 		zetaT: make([]float64, (c.jMax+1)*(c.jMax+1)),
 	}
 	for j := 0; j <= c.jMax; j++ {
-		v := float64(j) * c.dv
+		v := gridSpeed(j, c.dv)
 		for j2 := max(0, c.bands.lo[j]); j2 <= min(c.jMax, c.bands.hi[j]); j2++ {
 			t := j2*(c.jMax+1) + j
 			dTau := c.dTauT[t]
 			if dTau == 0 {
 				continue // unreachable pair (zero average speed)
 			}
-			v2 := float64(j2) * c.dv
+			v2 := gridSpeed(j2, c.dv)
 			vAvg := (v + v2) / 2
 			acc := (v2 - v) / dTau
 			if !c.veh.WithinPowerLimit(vAvg, acc, grade) {

@@ -314,7 +314,7 @@ func fingerprintTables(cfg *Config, g dpGrid, stages []stageInfo) uint64 {
 				math.Float64bits(st.signal.Timing.OffsetSec))
 		}
 		if i < len(stages)-1 {
-			put("grade", math.Float64bits(cfg.Route.GradeAt(st.posM+g.ds/2)))
+			put("grade", math.Float64bits(cfg.Route.GradeAt(st.posM+float64(g.ds/2))))
 		}
 	}
 	return h.Sum64()
