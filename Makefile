@@ -30,20 +30,23 @@ vet:
 # The lane kernels' Go references promise separate roundings, never a fused
 # multiply-add (kernels.go): the AVX2 kernels round every product, and so
 # must the reference on every architecture. The rest of the solver keeps
-# the same promise, so an arm64 node builds the same tables, fingerprints
-# and plans as an amd64 one. arm64 fuses x*y+z unless an explicit float64
-# conversion rounds the product, so this fails on any
-# FMADD/FMSUB/FNMADD/FNMSUB in any function of the arm64 build of
-# internal/dp, naming each function, and if either lane-kernel symbol
-# (relaxEvalGo, improveFilterGo) is missing from the disassembly.
+# the same promise, and so does every in-module package it calls (`go list
+# -deps ./internal/dp`: the EV model, queue windows, profiles), so an arm64
+# node builds the same tables, windows, fingerprints and plans as an amd64
+# one. arm64 fuses x*y+z unless an explicit float64 conversion rounds the
+# product, so this fails on any FMADD/FMSUB/FNMADD/FNMSUB in any function
+# of the arm64 build of those packages, naming each function, and if either
+# lane-kernel symbol (relaxEvalGo, improveFilterGo) is missing from the
+# disassembly.
 kernel-fma:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
-	GOARCH=arm64 $(GO) build -o "$$tmp/dp.a" ./internal/dp && \
-	$(GO) tool objdump "$$tmp/dp.a" > "$$tmp/dis" && \
+	for p in $$($(GO) list -deps -f '{{if .Module}}{{.ImportPath}}{{end}}' ./internal/dp); do \
+		GOARCH=arm64 $(GO) build -o "$$tmp/pkg.a" "$$p" && $(GO) tool objdump "$$tmp/pkg.a" >> "$$tmp/dis" || exit 1; \
+	done; \
 	grep -q 'TEXT.*dp\.relaxEvalGo(SB)' "$$tmp/dis" && grep -q 'TEXT.*dp\.improveFilterGo(SB)' "$$tmp/dis" || \
 		{ echo "kernel-fma: could not disassemble the arm64 lane kernels"; exit 1; }; \
 	if awk '/^TEXT/ { fn = $$2 } /[[:space:]](FMADD|FMSUB|FNMADD|FNMSUB)[DS][[:space:]]/ { print fn, $$1; n++ } END { exit n == 0 }' "$$tmp/dis"; then \
-		echo "kernel-fma: fused multiply-add in the arm64 build of internal/dp"; exit 1; fi
+		echo "kernel-fma: fused multiply-add in the arm64 build of internal/dp or a package it imports"; exit 1; fi
 
 # Custom static-analysis suite (internal/lint via cmd/evlint), six
 # analyzers: context plumbing on the request path (ctxcheck), unit-suffix
@@ -117,8 +120,10 @@ chaos-cluster:
 # bytes, allocation bounded by the input), and the improvement filter
 # kernel (improveFilter: AVX2 against the Go reference and the written
 # definition, penalty floor included). Their seed corpora also run in every
-# plain `go test`.
+# plain `go test`. Minimizing a new input is capped at 1 s: the minimizer
+# tries cuts quadratic in the input's length and holds a worker while it
+# does, which could otherwise eat the whole 10 s window.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTables$$' -fuzztime 10s ./internal/cloud
-	$(GO) test -run '^$$' -fuzz '^FuzzTablesWire$$' -fuzztime 10s ./internal/dp
-	$(GO) test -run '^$$' -fuzz '^FuzzImproveFilter$$' -fuzztime 10s ./internal/dp
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTables$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/cloud
+	$(GO) test -run '^$$' -fuzz '^FuzzTablesWire$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/dp
+	$(GO) test -run '^$$' -fuzz '^FuzzImproveFilter$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/dp

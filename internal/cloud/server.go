@@ -984,12 +984,16 @@ func (s *Server) runVariant(ctx context.Context, route *road.Route, req Request,
 	if err != nil {
 		return nil, err
 	}
+	// Sized exactly: the response cache holds up to MaxCacheEntries of
+	// these, and append's growth would leave spare capacity in each.
+	pts := res.Profile.Points()
 	out := &Response{
 		ChargeAh:  res.ChargeAh,
 		TripSec:   res.TripSec,
 		Penalized: res.Penalized,
+		Profile:   make([]PointJSON, 0, len(pts)),
 	}
-	for _, p := range res.Profile.Points() {
+	for _, p := range pts {
 		out.Profile = append(out.Profile, PointJSON{T: p.T, Pos: p.Pos, V: p.V})
 	}
 	for _, a := range res.Arrivals {

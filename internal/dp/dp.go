@@ -203,7 +203,9 @@ type Result struct {
 	Penalized bool
 	// StatesExpanded counts DP relaxations, for benchmarks. For a
 	// coarse-refined result this is the fine (corridor) pass only; the
-	// coarse pass's count is in Refined.
+	// coarse pass's count is in Refined. For a stitch it counts the
+	// crossing lanes evaluated over all of its bounded passes
+	// (RouteTables.StitchCtx).
 	StatesExpanded int
 	// Refined is non-nil when the coarse-to-fine fast path produced this
 	// result (OptimizeCoarseCtx, refine.go).
@@ -496,7 +498,9 @@ func assemble(cfg Config, stages []stageInfo, js []int, ds float64,
 	windows map[int][]queue.Window, _ float64, expanded int) (*Result, error) {
 
 	n := len(stages) - 1
-	var pts []profile.Point
+	// Each stage emits at most a dwell point plus nSub kinematic points
+	// (below); sizing for that spares the append growth on every plan.
+	pts := make([]profile.Point, 0, 1+n*(int(math.Ceil(ds/10))+1))
 	t := cfg.DepartTime
 	var charge float64
 	var arrivals []SignalArrival

@@ -93,6 +93,17 @@ type RouteTables struct {
 	// the largest entry table (the lane-buffer length).
 	backOff           []int
 	maxBand, maxCross int
+
+	// togo[s][j-minJ] is the cheapest windowless completion from boundary
+	// s at velocity j: 0 at the destination, +Inf where no chain of
+	// crossings reaches the destination. Windows only add penalties, so it
+	// is a lower bound on any stitched completion, the bound StitchCtx
+	// prunes by.
+	// costScale is Σ over segments of the largest |costAh|, which bounds
+	// every partial sum of crossing costs (the pruning margin's scale).
+	// Both are derived by index, never shipped on the wire.
+	togo      [][]float64
+	costScale float64
 }
 
 // gridKey is the comparable identity of everything baked into the tables:
@@ -170,7 +181,8 @@ func (rt *RouteTables) boundary(s int) int {
 // width per boundary. Each entry table gets its crossings' row offsets in
 // the exit boundary's band; BuildRouteTables and ImportRouteTables both
 // keep exits inside that band, and the stitch's unchecked gather relies on
-// it, so an exit outside it panics here.
+// it, so an exit outside it panics here. The cost-to-go runs backward
+// from the destination over the same exits.
 func (rt *RouteTables) index() {
 	kw := rt.grid.kMax + 1
 	rt.backOff = make([]int, len(rt.specs)+2)
@@ -195,6 +207,25 @@ func (rt *RouteTables) index() {
 				et.maxRowOff = max(et.maxRowOff, off)
 			}
 		}
+	}
+
+	m := len(rt.specs)
+	rt.togo = make([][]float64, m+1)
+	rt.togo[m] = []float64{0} // the destination band is velocity 0 alone
+	for s := m - 1; s >= 0; s-- {
+		dst, next := rt.stages[rt.specs[s].EndStage], rt.togo[s+1]
+		row := make([]float64, len(rt.entries[s]))
+		worst := 0.0
+		for e := range rt.entries[s] {
+			et := &rt.entries[s][e]
+			row[e] = math.Inf(1)
+			for c, j := range et.exitJ {
+				row[e] = min(row[e], et.costAh[c]+next[int(j)-dst.minJ])
+				worst = max(worst, math.Abs(et.costAh[c]))
+			}
+		}
+		rt.togo[s] = row
+		rt.costScale += worst
 	}
 }
 
@@ -500,6 +531,17 @@ func penaltyFloor(floor []float64, ws []queue.Window, depart, dtSec, penalty flo
 	}
 }
 
+// boundMargin widens the stitch's pruning bound (stitchPass), relative to
+// scale, which bounds the magnitude of every cost sum one request forms:
+// costScale, every window penalty and |U|. The exactness argument
+// (DESIGN.md §12) compares real sums, and the floats the pass compares are
+// each a few additions away from them, every one off by at most 2⁻⁵³ of
+// that scale. The margin at boundary s is boundMargin·(m−s)·scale: six
+// orders of magnitude above the drift left between s and the destination,
+// and larger by a whole step than at s+1, so a cell pruned at s stays
+// pruned along every chain that leaves it.
+const boundMargin = 1e-9
+
 // StitchCtx assembles the optimal profile for one request from the solved
 // segment tables: a DP over boundary states (velocity index × time bucket
 // at each signal) whose transitions are the precomputed crossings, with
@@ -508,15 +550,19 @@ func penaltyFloor(floor []float64, ws []queue.Window, depart, dtSec, penalty flo
 // build config on every grid-defining field (route, vehicle, Δs/Δv/Δt,
 // trip budget, accel bounds, time weight, dwell), or an error is returned.
 //
-// The boundary DP runs on the sweep's machinery (DESIGN.md §11–12): for
-// each finite source cell (entry velocity, bucket k), relaxEval evaluates
-// the entry's crossings as lanes — candidate cost costAh+c0, arrival
-// durSec+elapsed, bucket floor(t·(1/Δt)+0.5), trip-budget mask —
-// improveFilter drops the lanes that cannot improve their destination
-// even after the boundary's penalty floor, and stitchStep.commit resolves
-// the scatter for the rest. Both sums are the scalar ones with commuted
-// operands, so they are bit-identical to the per-crossing loop they
-// replace.
+// The boundary DP runs as passes under a cost bound U (stitchPass): a
+// source cell whose cost plus windowless cost-to-go (RouteTables.togo,
+// plus the penalty of each window list ahead that admits no arrival)
+// exceeds U is never relaxed. Penalties are non-negative, so that sum is a
+// true lower bound on every completion of the cell, and a pass whose best
+// destination cost is within U, or that pruned no cell that could reach
+// the destination, returns the unpruned DP's plan bit for bit (DESIGN.md
+// §12). The first bound sits four time buckets' worth of time weight above
+// the windowless optimum LB. A pass that reaches the destination above U
+// hands its cost on as the next bound, which is then exact; one that
+// reaches nothing doubles the slack, at least to the cheapest cell it
+// pruned, up to a penalty at every windowed boundary that is not a toll,
+// and past that the last pass runs unbounded, today's full DP.
 //
 // The stitched optimum agrees with OptimizeCtx up to time-bucket merging:
 // the monolithic DP buckets paths by absolute elapsed time at every stage,
@@ -528,6 +574,13 @@ func penaltyFloor(floor []float64, ws []queue.Window, depart, dtSec, penalty flo
 //
 //lint:certify pure
 func (rt *RouteTables) StitchCtx(ctx context.Context, cfg Config) (*Result, error) {
+	return rt.stitch(ctx, cfg, true)
+}
+
+// stitch is StitchCtx with the bound schedule switchable: bounded=false
+// runs the single pass at U = +Inf, the unpruned DP the schedule must
+// reproduce bit for bit (TestStitchBoundedMatchesUnbounded).
+func (rt *RouteTables) stitch(ctx context.Context, cfg Config, bounded bool) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -542,9 +595,78 @@ func (rt *RouteTables) StitchCtx(ctx context.Context, cfg Config) (*Result, erro
 	windows := shrunkWindows(&cfg, rt.stages)
 	m := len(rt.specs)
 	kw := rt.grid.kMax + 1
-	cells := rt.maxBand * kw
-	sl := grabStitchSlabs(cells, rt.backOff[m+1], kw, rt.maxCross)
+	sl := grabStitchSlabs(rt.maxBand*kw, rt.backOff[m+1], kw, rt.maxCross)
 	defer stitchPool.Put(sl)
+
+	// A window list that admits no arrival (an oversaturated signal) is a
+	// toll: every completion pays its penalty, so stitchPass adds it to
+	// the cost-to-go. Every signal is a boundary, so widest prices a
+	// penalty at each other windowed one: with that much slack the
+	// windowless optimum itself fits under U, and a pass that still
+	// reaches nothing was cut by the trip budget, which the bound does not
+	// see.
+	tolls := 0
+	for _, sp := range rt.specs {
+		if ws, ok := windows[sp.EndStage]; ok && len(ws) == 0 {
+			tolls++
+		}
+	}
+	lb := rt.togo[0][0] + float64(float64(tolls)*cfg.PenaltyAh)
+	widest := float64(len(windows)-tolls) * cfg.PenaltyAh
+	slack := float64(4 * cfg.TimeWeightAhPerSec * cfg.DtSec)
+	u := math.Inf(1)
+	if bounded {
+		u = lb + slack
+	}
+	expanded := 0
+	for {
+		bestK, bestCost, least, exp, err := rt.stitchPass(ctx, &cfg, windows, tolls, sl, u,
+			rt.costScale+float64(float64(len(windows))*cfg.PenaltyAh)+math.Abs(u))
+		expanded += exp
+		switch {
+		case err != nil:
+			return nil, err
+		case bestK >= 0 && bestCost <= u, math.IsInf(least, 1):
+			// Within the bound, or nothing that reaches the destination
+			// was pruned: the pass is the unpruned DP's.
+			return rt.reconstruct(cfg, windows, sl, bestK, bestCost, expanded)
+		case bestK >= 0:
+			u = bestCost // the optimum lies in (u, bestCost], so this bound is exact
+		default:
+			// Double the slack, and at least reach the cheapest pruned
+			// cell, which no bound below it would relax.
+			if next := min(max(2*slack, least-lb), widest); next > slack {
+				slack, u = next, lb+next
+			} else {
+				u = math.Inf(1)
+			}
+		}
+	}
+}
+
+// stitchPass runs the boundary DP once under the bound u, on the sweep's
+// machinery (DESIGN.md §11–12). A finite source cell (entry velocity,
+// bucket k) is relaxed when its cost plus windowless cost-to-go, plus the
+// penalties of the tolls (window lists that admit no arrival) still
+// ahead, stays within u plus boundary s's margin (boundMargin): relaxEval
+// evaluates the entry's crossings as lanes — candidate cost costAh+c0,
+// arrival durSec+elapsed, bucket floor(t·(1/Δt)+0.5), trip-budget mask —
+// improveFilter drops the lanes that cannot improve their destination even
+// after the boundary's penalty floor, and stitchStep.commit resolves the
+// scatter for the rest. Both sums are the scalar ones with commuted
+// operands, so they are bit-identical to the per-crossing loop they
+// replace. At u = +Inf nothing is pruned.
+//
+// It leaves every boundary's backpointers in sl and returns the
+// destination's cheapest bucket (-1 when the pass reached none), its cost,
+// the least cost plus cost-to-go among the cells it pruned (+Inf when it
+// pruned none that reach the destination) and the lanes it evaluated.
+func (rt *RouteTables) stitchPass(ctx context.Context, cfg *Config, windows map[int][]queue.Window, tolls int,
+	sl *stitchSlabs, u, scale float64) (bestK int, bestCost, least float64, expanded int, err error) {
+
+	m := len(rt.specs)
+	kw := rt.grid.kMax + 1
+	cells := rt.maxBand * kw
 	curCost, nxtCost := sl.vals[0*cells:1*cells], sl.vals[1*cells:2*cells]
 	curExact, nxtExact := sl.vals[2*cells:3*cells], sl.vals[3*cells:4*cells]
 	// Boundary 0 is the source, whose band is velocity 0 alone: elapsed 0.
@@ -554,10 +676,10 @@ func (rt *RouteTables) StitchCtx(ctx context.Context, cfg Config) (*Result, erro
 	useAsm := useAsmKernels
 	invDt, kMaxF := 1/cfg.DtSec, float64(rt.grid.kMax)
 	lanes := &sl.lanes
-	expanded := 0
+	least = math.Inf(1)
 	for s := 0; s < m; s++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return -1, inf, least, expanded, err
 		}
 		src, dst := rt.stages[rt.specs[s].StartStage], rt.stages[rt.specs[s].EndStage]
 		band := (dst.maxJ - dst.minJ + 1) * kw
@@ -575,16 +697,25 @@ func (rt *RouteTables) StitchCtx(ctx context.Context, cfg Config) (*Result, erro
 			cost: nxtCost[:band], exact: nxtExact[:band],
 			from: sl.from[lo:hi], cross: sl.cross[lo:hi],
 		}
+		limit := u + float64(boundMargin*float64(m-s)*scale)
+		toll := float64(float64(tolls) * cfg.PenaltyAh)
+		if hasWin && len(ws) == 0 {
+			tolls--
+		}
 		for e := range rt.entries[s] {
 			et := &rt.entries[s][e]
 			n := len(et.exitJ)
 			if n == 0 {
 				continue
 			}
-			col := (et.entryJ - src.minJ) * kw
+			col, togo := (et.entryJ-src.minJ)*kw, rt.togo[s][e]+toll
 			for k := 0; k < kw; k++ {
 				c0 := curCost[col+k]
 				if c0 >= inf {
+					continue
+				}
+				if f := c0 + togo; f > limit {
+					least = min(least, f)
 					continue
 				}
 				mask := lanes.mask[:(n+3)>>2]
@@ -604,23 +735,31 @@ func (rt *RouteTables) StitchCtx(ctx context.Context, cfg Config) (*Result, erro
 
 	// Destination boundary: the final segment ends at the forced-zero
 	// destination stage, whose band is velocity 0 alone.
-	bestK, bestCost := -1, inf
+	bestK, bestCost = -1, inf
 	for k := 0; k < kw; k++ {
 		if c := curCost[k]; c < bestCost {
 			bestCost, bestK = c, k
 		}
 	}
+	return bestK, bestCost, least, expanded, nil
+}
+
+// reconstruct assembles the plan a pass left in sl's backpointers, ending
+// at destination bucket bestK (-1: no feasible trajectory).
+func (rt *RouteTables) reconstruct(cfg Config, windows map[int][]queue.Window, sl *stitchSlabs,
+	bestK int, bestCost float64, expanded int) (*Result, error) {
+
 	if bestK < 0 {
 		return nil, fmt.Errorf("dp: no feasible stitched trajectory within %.0f s (grid Δs=%.0f Δv=%.2f Δt=%.1f)",
 			cfg.MaxTripSec, rt.grid.ds, cfg.DvMS, cfg.DtSec)
 	}
-
-	// Reconstruct the full velocity sequence by concatenating the winning
-	// crossings' stage paths (boundary stages are shared, so segment s's
-	// first index overwrites segment s-1's last with the same value).
+	// Concatenate the winning crossings' stage paths (boundary stages are
+	// shared, so segment s's first index overwrites segment s-1's last
+	// with the same value).
+	kw := rt.grid.kMax + 1
 	js := make([]int, rt.grid.n+1)
 	jj, kk := 0, bestK
-	for s := m; s > 0; s-- {
+	for s := len(rt.specs); s > 0; s-- {
 		st := rt.stages[rt.boundary(s)]
 		cell := rt.backOff[s] + (jj-st.minJ)*kw + kk
 		from := sl.from[cell]

@@ -3,8 +3,10 @@ package dp
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -73,13 +75,28 @@ func resultHash(h interface{ Write([]byte) (int, error) }, res *Result) {
 	}
 }
 
+// planHash digests the plan alone: resultHash of res with its expansion
+// count zeroed, so a change to the work a solve does leaves it unchanged.
+func planHash(h interface{ Write([]byte) (int, error) }, res *Result) {
+	plan := *res
+	plan.StatesExpanded = 0
+	resultHash(h, &plan)
+}
+
 // TestStitchGolden pins stitched plans bit for bit across four grids and a
 // 60-request stream each (240 plans), with the lane kernels forced on and
 // off: the stitch's boundary DP is a performance target, and any change to
-// its visit order, tie-break, bucket rule, window test or improvement
-// pre-test shows up here as a different digest.
+// its visit order, tie-break, bucket rule, window test, improvement
+// pre-test or pruning bound shows up here as a different plan digest. The
+// digest is the one the unpruned stitch produced. The lanes the bounded
+// passes evaluate (StatesExpanded summed over the stream) are pinned
+// apart from it, and must stay below the unpruned stitch's count.
 func TestStitchGolden(t *testing.T) {
-	const want = 0x545e49a17a61aedc
+	const (
+		wantPlans     = 0xda610445f22b9b88
+		wantLanes     = 17214376
+		unprunedLanes = 355512282
+	)
 	grids := stitchGrids()
 	tables := make([]*RouteTables, len(grids))
 	for gi, grid := range grids {
@@ -89,18 +106,148 @@ func TestStitchGolden(t *testing.T) {
 	for _, asm := range []bool{true, false} {
 		SetAsmKernels(asm)
 		h := fnv.New64a()
+		lanes := 0
 		for gi, grid := range grids {
 			for i := 0; i < 60; i++ {
 				res, err := tables[gi].StitchCtx(context.Background(), stitchRequest(t, grid, i))
 				if err != nil {
 					t.Fatalf("kernels=%v grid %d request %d: %v", KernelsEnabled(), gi, i, err)
 				}
-				resultHash(h, res)
+				planHash(h, res)
+				lanes += res.StatesExpanded
 			}
 		}
-		if got := h.Sum64(); got != want {
-			t.Fatalf("kernels=%v: stitched plans hash %#016x, want %#016x", KernelsEnabled(), got, uint64(want))
+		if got := h.Sum64(); got != wantPlans {
+			t.Fatalf("kernels=%v: stitched plans hash %#016x, want %#016x", KernelsEnabled(), got, uint64(wantPlans))
 		}
+		if lanes != wantLanes || lanes >= unprunedLanes {
+			t.Fatalf("kernels=%v: stitch evaluated %d lanes, want %d (unpruned: %d)", KernelsEnabled(), lanes, wantLanes, unprunedLanes)
+		}
+	}
+}
+
+// boundCorridor draws a random corridor for TestStitchBoundedMatchesUnbounded:
+// 1.0–1.8 km, one to three signals with a stop sign between two of them
+// at random, and a downhill stretch steep enough that its crossings
+// regenerate charge.
+func boundCorridor(t *testing.T, rng *rand.Rand) *road.Route {
+	t.Helper()
+	length := 50 * math.Round((1000+800*rng.Float64())/50)
+	var controls []road.Control
+	for pos := 400.0; pos < length-300; pos += 350 + 250*rng.Float64() {
+		c := road.Control{Kind: road.ControlSignal, PositionM: 50 * math.Round(pos/50),
+			Timing: road.SignalTiming{RedSec: 15 + 20*rng.Float64(), GreenSec: 15 + 25*rng.Float64(), OffsetSec: 40 * rng.Float64()}}
+		if len(controls) > 0 && rng.Intn(4) == 0 {
+			c = road.Control{Kind: road.ControlStopSign, PositionM: c.PositionM}
+		}
+		c.Name = fmt.Sprintf("c%d", len(controls))
+		controls = append(controls, c)
+	}
+	start := 50 * math.Round(length*rng.Float64()/100)
+	r, err := road.NewRoute(road.RouteConfig{
+		LengthM: length, DefaultMaxMS: 14 + 4*rng.Float64(), Controls: controls,
+		GradeZones: []road.GradeZone{{StartM: start, EndM: start + length/2, ThetaRad: -0.04 - 0.05*rng.Float64()}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestStitchBoundedMatchesUnbounded: on seeded random corridors, StitchCtx's
+// bound schedule returns the plan of the single unpruned pass (the
+// bounded=false hook, U = +Inf) bit for bit, or the same error. The
+// requests cover queue-aware windows from light to oversaturated traffic,
+// green windows, no windows, windows that admit no arrival (every plan
+// penalized), a penalty small enough that a penalized plan wins, downhill
+// grades, a zero time weight and a trip budget no stitch meets, and the
+// test checks that the penalized, negative-charge and infeasible cases
+// occurred.
+func TestStitchBoundedMatchesUnbounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	qp := queue.US25Params()
+	saturated := qp.VMinMS/qp.SpacingM + 0.5
+	windows := map[string]func(depart float64) WindowsFunc{
+		"none":  func(float64) WindowsFunc { return nil },
+		"green": func(d float64) WindowsFunc { return GreenWindows(d, d+900) },
+		"empty": func(float64) WindowsFunc {
+			return func(road.Control) []queue.Window { return []queue.Window{} }
+		},
+		"queue-aware": func(d float64) WindowsFunc {
+			rate := queue.VehPerHour(100 + 400*rng.Float64())
+			if rng.Intn(4) == 0 {
+				rate = saturated
+			}
+			wf, err := QueueAwareWindows(qp, ConstantArrivalRate(rate), d, d+900)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return wf
+		},
+	}
+	names := []string{"none", "green", "empty", "queue-aware"}
+	var plans, penalized, smallPenaltyWins, regenerating, infeasible int
+	for trial := 0; trial < 5; trial++ {
+		route := boundCorridor(t, rng)
+		for _, tables := range []struct {
+			name        string
+			timeWeight  float64
+			maxTripSec  float64
+			wantFailure bool
+		}{{"default", 0, 300, false}, {"zero time weight", -1, 300, false}, {"tight budget", 0, 45, true}} {
+			grid := Config{Route: route, Vehicle: ev.SparkEV(), DsM: 50, DvMS: 1, DtSec: 2,
+				MaxTripSec: tables.maxTripSec, TimeWeightAhPerSec: tables.timeWeight}
+			rt := buildTestTables(t, grid)
+			for i := 0; i < 12; i++ {
+				cfg := grid
+				cfg.DepartTime = 200 * rng.Float64()
+				name := names[i%len(names)]
+				cfg.Windows = windows[name](cfg.DepartTime)
+				small := i%8 >= 4
+				if small {
+					cfg.PenaltyAh = 0.0005 + 0.005*rng.Float64()
+				}
+				want, wantErr := rt.stitch(context.Background(), cfg, false)
+				got, gotErr := rt.stitch(context.Background(), cfg, true)
+				label := fmt.Sprintf("trial %d %s %s (penalty %g, depart %.1f)", trial, tables.name, name, cfg.PenaltyAh, cfg.DepartTime)
+				if (wantErr != nil) != tables.wantFailure {
+					t.Fatalf("%s: unbounded stitch error %v, want failure %v", label, wantErr, tables.wantFailure)
+				}
+				if wantErr != nil {
+					if gotErr == nil || gotErr.Error() != wantErr.Error() {
+						t.Fatalf("%s: bounded error %v, unbounded %v", label, gotErr, wantErr)
+					}
+					infeasible++
+					continue
+				}
+				if gotErr != nil {
+					t.Fatalf("%s: bounded stitch failed: %v", label, gotErr)
+				}
+				hw, hg := fnv.New64a(), fnv.New64a()
+				planHash(hw, want)
+				planHash(hg, got)
+				if hw.Sum64() != hg.Sum64() {
+					t.Fatalf("%s: bounded plan (%.9f Ah, %.3f s) differs from unbounded (%.9f Ah, %.3f s)",
+						label, got.ChargeAh, got.TripSec, want.ChargeAh, want.TripSec)
+				}
+				plans++
+				if want.Penalized {
+					penalized++
+					if small && name != "empty" {
+						smallPenaltyWins++
+					}
+				}
+				if want.ChargeAh < 0 {
+					regenerating++
+				}
+			}
+		}
+	}
+	t.Logf("%d plans (%d penalized, %d by a small penalty, %d regenerating), %d infeasible",
+		plans, penalized, smallPenaltyWins, regenerating, infeasible)
+	if penalized == 0 || smallPenaltyWins == 0 || regenerating == 0 || infeasible == 0 {
+		t.Fatalf("the stream missed a case: %d penalized, %d by a small penalty, %d regenerating, %d infeasible",
+			penalized, smallPenaltyWins, regenerating, infeasible)
 	}
 }
 

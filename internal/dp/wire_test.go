@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"runtime"
+	"runtime/metrics"
 	"slices"
 	"testing"
 
@@ -240,13 +240,28 @@ func TestWireImportRejectsCorruption(t *testing.T) {
 	}
 }
 
-// heapDelta reports the bytes f allocated on the heap.
+// heapDelta reports the bytes f allocated on the heap, from the runtime's
+// cumulative allocation counter. Read through runtime/metrics it does not
+// stop the world, as runtime.ReadMemStats does, which would cost more than
+// the tiny-grid import it brackets. The counter takes a large allocation
+// (over 32 KB) the moment it is made, and small ones when their span
+// leaves its P's cache. A GC cycle flushes every cache at once, so a
+// reading across one can count small objects allocated before f: f runs
+// again (it must be repeatable) while a GC cycle ends during it, at most
+// three times.
 func heapDelta(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}, {Name: "/gc/cycles/total:gc-cycles"}}
+	var n uint64
+	for try := 0; try < 3; try++ {
+		metrics.Read(s)
+		allocs, cycles := s[0].Value.Uint64(), s[1].Value.Uint64()
+		f()
+		metrics.Read(s)
+		if n = s[0].Value.Uint64() - allocs; s[1].Value.Uint64() == cycles {
+			break
+		}
+	}
+	return n
 }
 
 // TestWireImportRejectsFraming: ImportRouteTables refuses every payload

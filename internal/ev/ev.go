@@ -118,10 +118,12 @@ func (p Params) Validate() error {
 // Rolling resistance always opposes motion; at standstill (v = 0, a = 0) it
 // is zero rather than a phantom holding force.
 func (p Params) DriveForce(v, a, theta float64) float64 {
-	inertial := p.MassKg * a
-	aero := 0.5 * p.AirDensity * p.FrontalAreaM2 * p.DragCoeff * v * v
-	grade := p.MassKg * Gravity * math.Sin(theta)
-	roll := p.RollCoeff * p.MassKg * Gravity * math.Cos(theta)
+	// Each float64 conversion rounds its product, so arm64 cannot fuse it
+	// into the sum below: every node prices a transition alike.
+	inertial := float64(p.MassKg * a)
+	aero := float64(0.5 * p.AirDensity * p.FrontalAreaM2 * p.DragCoeff * v * v)
+	grade := float64(p.MassKg * Gravity * math.Sin(theta))
+	roll := float64(p.RollCoeff * p.MassKg * Gravity * math.Cos(theta))
 	if v == 0 && a == 0 {
 		roll = 0
 	}
@@ -202,7 +204,7 @@ func (p Params) WithinPowerLimit(v, a, theta float64) bool {
 		return true
 	}
 	pw := p.TractivePower(v, a, theta)
-	return pw <= units.KWToW(p.MaxPowerKW)+1e-9
+	return pw <= float64(units.KWToW(p.MaxPowerKW))+1e-9 // rounded: no arm64 fusion
 }
 
 // MaxAccelAt returns the acceleration achievable at speed v on gradient

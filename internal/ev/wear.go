@@ -43,10 +43,10 @@ func (m *WearModel) StepWear(zeta, dt float64) float64 {
 	}
 	amps := math.Abs(zeta)
 	cRate := amps / m.Pack.PackCapacityAh
-	stress := 1 + m.StressK*cRate
+	stress := 1 + float64(m.StressK*cRate) // rounded: no arm64 fusion
 	// |ζ|·dt is charge moved in ampere-seconds; 2·Q·3600 ampere-seconds
 	// round-trip is one full cycle.
-	return amps * stress * dt / (2 * units.AhToCoulombs(m.Pack.PackCapacityAh))
+	return amps * stress * dt / (2 * float64(units.AhToCoulombs(m.Pack.PackCapacityAh)))
 }
 
 // SegmentWear returns the wear of traversing a segment entering at v0 and

@@ -172,9 +172,11 @@ func Drive(cfg DriveConfig) (*Profile, error) {
 		}
 
 		_, maxMS := r.SpeedLimits(pos)
-		target := cfg.Style.SpeedFraction * maxMS
+		// float64(...) rounds a product so arm64 cannot fuse it into a
+		// multiply-add: every node computes the same value (make kernel-fma).
+		target := float64(cfg.Style.SpeedFraction * maxMS)
 		if cfg.Style.WanderAmpMS > 0 {
-			target += cfg.Style.WanderAmpMS * math.Sin(2*math.Pi*(t-cfg.DepartTime)/cfg.Style.WanderPeriodSec)
+			target += float64(cfg.Style.WanderAmpMS * math.Sin(2*math.Pi*(t-cfg.DepartTime)/cfg.Style.WanderPeriodSec))
 			if target > maxMS {
 				target = maxMS
 			}
@@ -187,7 +189,7 @@ func Drive(cfg DriveConfig) (*Profile, error) {
 
 		// Arrival at the stop line: close enough that the next step would
 		// cross it and already crawling. Snap, then handle the stop.
-		if dist <= math.Max(0.3, 1.5*v*dt) && v <= 2.5*cfg.Style.DecelMS2*dt+0.3 {
+		if dist <= math.Max(0.3, 1.5*v*dt) && v <= float64(2.5*cfg.Style.DecelMS2*dt)+0.3 {
 			pos = stop.pos
 			v = 0
 			t += dt
@@ -219,15 +221,15 @@ func Drive(cfg DriveConfig) (*Profile, error) {
 		// Speed admissible to still stop at the stop point with comfortable
 		// braking: v² = 2·decel·dist, with one step's travel as margin so
 		// the discrete trajectory stays under the continuous envelope.
-		vBrake := math.Sqrt(2 * cfg.Style.DecelMS2 * math.Max(0, dist-v*dt))
+		vBrake := math.Sqrt(2 * cfg.Style.DecelMS2 * math.Max(0, dist-float64(v*dt)))
 		vDes := math.Min(target, vBrake)
 
 		// Step the speed toward vDes with bounded accel/decel.
 		switch {
 		case v < vDes:
-			v = math.Min(vDes, v+cfg.Style.AccelMS2*dt)
+			v = math.Min(vDes, v+float64(cfg.Style.AccelMS2*dt))
 		case v > vDes:
-			v = math.Max(vDes, v-cfg.Style.DecelMS2*dt)
+			v = math.Max(vDes, v-float64(cfg.Style.DecelMS2*dt))
 		}
 		adv := v * dt
 		if adv > dist {

@@ -113,7 +113,9 @@ func (p *Profile) SpeedAtPos(pos float64) float64 {
 		return b.V
 	}
 	f := (pos - a.Pos) / (b.Pos - a.Pos)
-	return a.V + f*(b.V-a.V)
+	// float64(...) rounds a product so arm64 cannot fuse it into a
+	// multiply-add: every node computes the same value (make kernel-fma).
+	return a.V + float64(f*(b.V-a.V))
 }
 
 // TimeAtPos returns the first time the profile reaches position pos,
@@ -132,7 +134,7 @@ func (p *Profile) TimeAtPos(pos float64) float64 {
 		return a.T
 	}
 	f := (pos - a.Pos) / (b.Pos - a.Pos)
-	return a.T + f*(b.T-a.T)
+	return a.T + float64(f*(b.T-a.T))
 }
 
 // SpeedAtTime returns the linearly interpolated speed at time t, clamped to
@@ -151,7 +153,7 @@ func (p *Profile) SpeedAtTime(t float64) float64 {
 		return b.V
 	}
 	f := (t - a.T) / (b.T - a.T)
-	return a.V + f*(b.V-a.V)
+	return a.V + float64(f*(b.V-a.V))
 }
 
 // Stops returns the number of distinct stops: maximal intervals where speed

@@ -49,7 +49,9 @@ func (m *Model) Integrate(vin RateFunc, from, to, dt float64) ([]Sample, error) 
 	out := make([]Sample, 0, n+1)
 	q := 0.0 // vehicles
 	for i := 0; i <= n; i++ {
-		t := from + float64(i)*dt
+		// float64(...) rounds a product so arm64 cannot fuse it into a
+		// multiply-add: every node computes the same value (make kernel-fma).
+		t := from + float64(float64(i)*dt)
 		if t > to {
 			t = to
 		}
@@ -65,7 +67,7 @@ func (m *Model) Integrate(vin RateFunc, from, to, dt float64) ([]Sample, error) 
 			}
 		}
 		if i > 0 {
-			q += (in - outRate) * dt
+			q += float64((in - outRate) * dt)
 			if q < 0 {
 				q = 0
 			}
@@ -139,9 +141,9 @@ func (m *CurrentModel) QueueLenM(intoCycle, vin float64) float64 {
 	if intoCycle < 0 {
 		return 0
 	}
-	l := m.SpacingM * vin * intoCycle
+	l := float64(m.SpacingM * vin * intoCycle)
 	if intoCycle > m.Timing.RedSec {
-		l -= m.VMinMS * (intoCycle - m.Timing.RedSec)
+		l -= float64(m.VMinMS * (intoCycle - m.Timing.RedSec))
 	}
 	if l < 0 {
 		return 0
@@ -154,7 +156,7 @@ func (m *CurrentModel) QueueClearTime(vin float64) (float64, bool) {
 	if vin <= 0 {
 		return m.Timing.RedSec, true
 	}
-	den := m.VMinMS - m.SpacingM*vin
+	den := m.VMinMS - float64(m.SpacingM*vin)
 	if den <= 0 {
 		return 0, false
 	}

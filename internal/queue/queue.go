@@ -137,13 +137,15 @@ func (m *Model) headDistance(intoCycle float64) float64 {
 	if intoCycle <= tr {
 		return 0
 	}
+	// float64(...) rounds a product so arm64 cannot fuse it into a
+	// multiply-add: every node computes the same value (make kernel-fma).
 	t1 := m.T1()
 	if intoCycle <= t1 {
 		dt := intoCycle - tr
-		return 0.5 * m.AMaxMS2 * dt * dt
+		return float64(0.5 * m.AMaxMS2 * dt * dt)
 	}
 	accelDist := 0.5 * m.VMinMS * m.VMinMS / m.AMaxMS2
-	return accelDist + m.VMinMS*(intoCycle-t1)
+	return accelDist + float64(m.VMinMS*(intoCycle-t1))
 }
 
 // QueueLenM returns the QL-model queue length L_q in metres at intoCycle
@@ -158,7 +160,7 @@ func (m *Model) QueueLenM(intoCycle, vin float64) float64 {
 	if clear, ok := m.QueueClearTime(vin); ok && intoCycle >= clear {
 		return 0
 	}
-	l := m.SpacingM*vin*intoCycle - m.headDistance(intoCycle)
+	l := float64(m.SpacingM*vin*intoCycle) - m.headDistance(intoCycle)
 	if l < 0 {
 		return 0
 	}
@@ -179,12 +181,12 @@ func (m *Model) QueueClearTime(vin float64) (intoCycle float64, ok bool) {
 		return m.Timing.RedSec, true // nothing ever queues
 	}
 	tr, t1, cyc := m.Timing.RedSec, m.T1(), m.Timing.CycleSec()
-	dv := m.SpacingM * vin // queue growth in m/s
+	dv := float64(m.SpacingM * vin) // queue growth in m/s
 	// Phase ii: d·vin·t = a_max(t−t_red)²/2, for t in (t_red, t1].
 	// Solve ½a t² − (a·tr + dv)·t + ½a·tr² = 0.
 	a := m.AMaxMS2
-	A, B, C := 0.5*a, -(a*tr + dv), 0.5*a*tr*tr
-	if disc := B*B - 4*A*C; disc >= 0 {
+	A, B, C := float64(0.5*a), -(float64(a*tr) + dv), 0.5*a*tr*tr
+	if disc := float64(B*B) - float64(4*A*C); disc >= 0 {
 		root := (-B - math.Sqrt(disc)) / (2 * A) // earlier root
 		if root > tr && root <= t1 {
 			if root > cyc {
@@ -205,7 +207,7 @@ func (m *Model) QueueClearTime(vin float64) (intoCycle float64, ok bool) {
 	if den <= 0 {
 		return 0, false // arrivals outpace discharge: never clears
 	}
-	t := (m.VMinMS*t1 - 0.5*m.VMinMS*m.VMinMS/m.AMaxMS2) / den
+	t := (float64(m.VMinMS*t1) - 0.5*m.VMinMS*m.VMinMS/m.AMaxMS2) / den
 	if t <= t1 || t > cyc {
 		if t <= t1 {
 			// Numerical corner: clears essentially at t1.
@@ -255,8 +257,8 @@ func (m *Model) ZeroWindowsAbs(vin, from, to float64) []Window {
 	first := math.Floor((from-m.Timing.OffsetSec)/cyc) - 1
 	var out []Window
 	for k := first; ; k++ {
-		start := m.Timing.OffsetSec + k*cyc + w.Start
-		end := m.Timing.OffsetSec + k*cyc + w.End
+		start := m.Timing.OffsetSec + float64(k*cyc) + w.Start
+		end := m.Timing.OffsetSec + float64(k*cyc) + w.End
 		if start >= to {
 			break
 		}
@@ -278,8 +280,8 @@ func (m *Model) GreenWindowsAbs(from, to float64) []Window {
 	first := math.Floor((from-m.Timing.OffsetSec)/cyc) - 1
 	var out []Window
 	for k := first; ; k++ {
-		start := m.Timing.OffsetSec + k*cyc + m.Timing.RedSec
-		end := m.Timing.OffsetSec + (k+1)*cyc
+		start := m.Timing.OffsetSec + float64(k*cyc) + m.Timing.RedSec
+		end := m.Timing.OffsetSec + float64((k+1)*cyc)
 		if start >= to {
 			break
 		}
